@@ -370,12 +370,12 @@ class SimulationCache:
 
     def get_entry(self, engine: SimulationEngine, trace: MemoryTrace,
                   policy_name: str, description: str = "") -> "TraceEntry":
-        """A memoised database entry (simulation + derived table/statistics).
+        """A memoised database entry (simulation + derived statistics).
 
-        The table conversion and whole-trace statistics dominate repeat
-        session builds once the simulation itself is cached, so the derived
-        :class:`TraceEntry` is memoised under the same key — in memory and,
-        when a store is attached, on disk.  A fresh computation persists
+        The derived :class:`TraceEntry` is memoised under the same key as
+        its simulation — in memory and, when a store is attached, on disk —
+        so a table one session builds on first read is reused by every
+        later session sharing the memoiser.  A fresh computation persists
         both records (the entry *and* the bare result), so a later
         :meth:`get_or_run` in a brand-new process is warm too.
         """

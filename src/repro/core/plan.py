@@ -16,12 +16,15 @@ is the seam batching, deduplication and remote serving plug into:
 the same pair simulate it exactly once.
 
 Job scoping: a CacheMind session answers over one shared trace database
-(retrievers like Sieve consult *every* entry for comparison and
-workload-analysis questions, and Ranger's sandbox executes against the full
+(retrievers like Sieve consult *every* entry's statistics for comparison and
+workload-analysis questions, and Ranger's sandbox sees every key of the
 ``loaded_data`` store), so a plan names the session's full
-``workloads x policies`` matrix.  That keeps planned execution byte-identical
-to the legacy path; narrowing the job set per-intent is deliberately a
-planner-local decision future work can make without touching callers.
+``workloads x policies`` matrix of simulations.  Per-access tables are not
+part of the plan: each entry's table is built on first read, so a question
+builds only the tables its retriever actually reads (none for a miss rate).
+That keeps planned execution byte-identical to the legacy path; narrowing
+the simulated job set per-intent is deliberately a planner-local decision
+future work can make without touching callers.
 """
 
 from __future__ import annotations

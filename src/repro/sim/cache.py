@@ -8,14 +8,16 @@ Two access paths are provided:
   ``cache_line_eviction_scores`` columns.
 * :meth:`Cache.access_fast` — the stats-only path used when the caller only
   needs aggregate counters (``detail="stats"``).  It skips outcome objects,
-  line-view snapshots and the per-access ``eviction_scores`` callback (every
-  built-in policy's ``eviction_scores`` is a pure read, so skipping it cannot
-  change behaviour), and when the policy is plain LRU it bypasses the policy
-  callback machinery entirely, driving recency through the per-set tag dict.
+  resident-line and score snapshots and the per-access ``eviction_scores``
+  callback (every built-in policy's ``eviction_scores`` is a pure read, so
+  skipping it cannot change behaviour), and when the policy is plain LRU
+  it bypasses the policy callback machinery entirely, driving recency
+  through the per-set tag dict.
 
 Both paths share one tag dictionary per set (block address -> way), so
-residency lookups are O(1) instead of a linear way scan, and both produce
-identical hit/miss/eviction/bypass statistics for every policy.
+residency lookups are O(1) instead of a linear way scan, both hand the live
+:class:`CacheLine` objects to policies as views, and both produce identical
+hit/miss/eviction/bypass statistics for every policy.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ DETAIL_LEVELS = (DETAIL_FULL, DETAIL_STATS)
 class CacheLine:
     """One resident cache line.
 
-    ``way`` is fixed for the line's whole residency, which lets the
-    stats-only path hand lines directly to policies as views (duck-typed
+    ``way`` is fixed for the line's whole residency, which lets both access
+    paths hand live lines directly to policies as views (duck-typed
     :class:`CacheLineView`: same attributes, no per-access copying).
     """
 
@@ -57,17 +59,6 @@ class CacheLine:
     dirty: bool = False
     way: int = -1
     valid: bool = True
-
-    def view(self, way: int) -> CacheLineView:
-        return CacheLineView(
-            way=way,
-            block_address=self.block_address,
-            pc=self.pc,
-            inserted_at=self.inserted_at,
-            last_access=self.last_access,
-            next_use=self.next_use,
-            dirty=self.dirty,
-        )
 
 
 @dataclass
@@ -204,10 +195,6 @@ class Cache:
         way, _line = self.lookup(self.block_address(byte_address))
         return way is not None
 
-    def resident_lines(self, set_index: int) -> List[Tuple[int, CacheLine]]:
-        return [(way, line) for way, line in enumerate(self.sets[set_index])
-                if line is not None]
-
     def occupancy(self) -> int:
         return sum(len(tags) for tags in self._tags)
 
@@ -258,12 +245,13 @@ class Cache:
         stats.accesses += 1
         stats.per_set_accesses[set_index] += 1
 
-        resident = self.resident_lines(set_index)
-        resident_pairs = [(line.block_address, line.pc) for _way, line in resident]
-        views = [line.view(way) for way, line in resident]
+        # Resident lines double as views (see CacheLine); scores are read
+        # before this access touches any line.
+        views = [line for line in self.sets[set_index] if line is not None]
+        resident_pairs = [(line.block_address, line.pc) for line in views]
         scores = self.policy.eviction_scores(set_index, views, policy_access) if views else []
         score_pairs = [(line.block_address, float(score))
-                       for (_way, line), score in zip(resident, scores)]
+                       for line, score in zip(views, scores)]
 
         tags = self._tags[set_index]
         way = tags.get(block_address)
@@ -276,7 +264,7 @@ class Cache:
             line.next_use = next_use
             if is_write:
                 line.dirty = True
-            self.policy.on_hit(set_index, line.view(way), policy_access)
+            self.policy.on_hit(set_index, line, policy_access)
             self._update_shadow(block_address)
             return AccessOutcome(
                 hit=True, set_index=set_index, way=way,
@@ -321,7 +309,7 @@ class Cache:
         self.sets[set_index][free_way] = new_line
         tags[block_address] = free_way
         outcome.way = free_way
-        self.policy.on_fill(set_index, new_line.view(free_way), policy_access)
+        self.policy.on_fill(set_index, new_line, policy_access)
         return outcome
 
     def _allocate_way(self, set_index: int, views: Sequence[CacheLineView],
@@ -342,8 +330,7 @@ class Cache:
         victim_line = cache_set[victim_way]
         if victim_line is None:  # defensive: policy pointed at a hole
             return victim_way
-        self.policy.on_evict(set_index, victim_line.view(victim_way),
-                             policy_access)
+        self.policy.on_evict(set_index, victim_line, policy_access)
         stats.evictions += 1
         outcome.evicted_block = victim_line.block_address
         outcome.evicted_pc = victim_line.pc

@@ -392,9 +392,9 @@ class SimulationEngine:
                     -1 if evicted_block is None else evicted_block,
                     accessed_rd, evicted_rd, recency,
                     context[0], context[1], context[2],
-                    list(outcome.resident_lines),
-                    list(history[-self.history_window:]),
-                    list(outcome.eviction_scores),
+                    outcome.resident_lines,
+                    history[-self.history_window:],
+                    outcome.eviction_scores,
                 )
 
             history.append((block, pc))

@@ -167,10 +167,11 @@ class ParallelSimulator:
     def run_entries(self, jobs: Sequence[SimulationJob]) -> list:
         """Simulate every job and derive trace-database entries in-worker.
 
-        Building the entry (table + statistics + metadata) in the worker
-        parallelises the expensive table materialisation too, not just the
-        replay.  Returns :class:`~repro.tracedb.database.TraceEntry` objects
-        in submission order.
+        Building the entry (statistics + metadata) in the worker
+        parallelises the statistics pass too, not just the replay; each
+        entry's table is built on first read in the receiving process.
+        Returns :class:`~repro.tracedb.database.TraceEntry` objects in
+        submission order.
         """
         return self._map(jobs, want_entry=True)
 

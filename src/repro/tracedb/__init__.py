@@ -27,6 +27,7 @@ from repro.tracedb.schema import (
     ACCESS_COLUMNS,
     AccessLog,
     AccessRecord,
+    WorkloadStatistics,
     records_to_table,
     table_to_records,
 )
@@ -41,7 +42,6 @@ from repro.tracedb.stats import (
     CacheStatisticalExpert,
     PCStatistics,
     SetStatistics,
-    WorkloadStatistics,
 )
 from repro.tracedb.database import (
     TraceDatabase,

@@ -12,13 +12,20 @@ The store is organised exactly as in the paper (section 4.3): a dictionary
 simulation engine and assembles that dictionary, along with richer
 per-entry objects (:class:`TraceEntry`) that keep the simulation statistics
 and the synthetic binary image around for insight analyses.
+
+Tables are built on first read.  An entry's statistics and metadata string
+come straight from the simulation's columnar access log, so building an
+entry formats no cell; the per-access table is built from the log the first
+time a retriever reads ``entry.data_frame`` (or ``["data_frame"]`` of its
+``loaded_data`` value).  A question that only needs whole-trace figures, such
+as a miss rate, never builds a table at all.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import UnknownNameError
 from repro.policies.base import get_policy
@@ -27,8 +34,8 @@ from repro.sim.batch import BatchSimulator, RolloutSpec
 from repro.sim.engine import SimulationEngine, SimulationResult
 from repro.sim.parallel import ParallelSimulator, SimulationJob
 from repro.tracedb.metadata import build_metadata_string
-from repro.tracedb.schema import records_to_table
-from repro.tracedb.stats import CacheStatisticalExpert, WorkloadStatistics
+from repro.tracedb.schema import WorkloadStatistics
+from repro.tracedb.stats import CacheStatisticalExpert
 from repro.tracedb.store import TraceStore, entry_key, simulation_key
 from repro.tracedb.table import Table
 from repro.workloads.generator import get_workload
@@ -55,11 +62,11 @@ def parse_trace_key(key: str) -> Tuple[str, str]:
 class TraceEntry:
     """One (workload, policy) entry of the external store.
 
-    ``data_frame`` is materialised lazily: when the entry crosses a process
-    boundary (persistent store record, parallel-worker result), only the
-    compact columnar access log inside ``result`` travels, and the table is
-    rebuilt — byte-identically — on first access.  That keeps store records
-    small and warm session starts buffer-speed instead of re-unpickling
+    ``data_frame`` is built from the compact columnar access log inside
+    ``result`` on first read, byte-identically, and never travels: when the
+    entry crosses a process boundary (persistent store record, parallel-worker
+    result), only the log does.  That keeps entry builds and store records
+    cheap, and warm session starts buffer-speed instead of re-unpickling
     millions of formatted cells.
     """
 
@@ -81,7 +88,10 @@ class TraceEntry:
 
     @property
     def data_frame(self) -> Table:
-        """The per-access table, rebuilt from the access log if needed."""
+        """The per-access table, built from the access log on first read.
+
+        Two threads reading a fresh entry at once may both build it; the
+        builds are byte-identical, so whichever lands last is kept."""
         if self._data_frame is None:
             self._data_frame = self.result.log.to_table()
         return self._data_frame
@@ -89,7 +99,7 @@ class TraceEntry:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         # The table is pure derived data whenever the log is present; ship
-        # the compact log only and rebuild lazily on the other side.
+        # the compact log only and build on first read on the other side.
         if self.result is not None and self.result.log is not None:
             state["_data_frame"] = None
         return state
@@ -97,7 +107,7 @@ class TraceEntry:
     def __repr__(self) -> str:
         return (f"TraceEntry(workload={self.workload!r}, "
                 f"policy={self.policy!r}, "
-                f"rows={len(self.data_frame)})")
+                f"rows={self.statistics.total_accesses})")
 
     @property
     def key(self) -> str:
@@ -107,33 +117,57 @@ class TraceEntry:
     def expert(self) -> CacheStatisticalExpert:
         return CacheStatisticalExpert(self.data_frame)
 
-    def as_loaded_data_value(self) -> Dict[str, object]:
-        """The plain dictionary shape documented in the Ranger system prompt."""
-        return {
-            "data_frame": self.data_frame,
-            "metadata": self.metadata,
-            "description": self.description,
-        }
+    def as_loaded_data_value(self) -> "LoadedDataValue":
+        """The mapping shape documented in the Ranger system prompt."""
+        return LoadedDataValue(self)
+
+
+class LoadedDataValue(Mapping):
+    """Read-only ``{"data_frame", "metadata", "description"}`` view of one
+    entry, as Ranger-generated code reads it.
+
+    ``["data_frame"]`` resolves to the entry's table on first read, so
+    handing every entry to the sandbox builds no table until generated code
+    actually reads one.
+    """
+
+    __slots__ = ("_entry",)
+    KEYS = ("data_frame", "metadata", "description")
+
+    def __init__(self, entry: TraceEntry):
+        self._entry = entry
+
+    def __getitem__(self, key: str) -> object:
+        if key not in self.KEYS:
+            raise KeyError(key)
+        return getattr(self._entry, key)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.KEYS)
+
+    def __len__(self) -> int:
+        return len(self.KEYS)
 
 
 def make_entry(result: SimulationResult,
                workload_description: str = "") -> TraceEntry:
-    """Derive a database entry (table, statistics, metadata) from one
-    simulation result.
+    """Derive a database entry (statistics, metadata, lazy table) from one
+    full-detail simulation result.
 
-    The data frame is assembled column-by-column from the result's columnar
-    access log (byte-identical to the legacy row-materialised path, without
-    building a dict per row)."""
-    table = (result.log.to_table() if result.log is not None
-             else records_to_table(result.records))
-    stats = CacheStatisticalExpert(table).workload_statistics()
+    Statistics come straight from the result's columnar access log; the
+    data frame is built from the same log on first read."""
+    if result.log is None:
+        raise ValueError(
+            f"{result.workload}/{result.policy_name}: a {result.detail}-detail "
+            "result has no access log to build an entry from")
+    stats = result.log.workload_statistics()
     workload_part = workload_description or f"workload {result.workload}"
     description = (f"Replacement Policy: {result.policy_description} "
                    f"Workload: {workload_part}")
     return TraceEntry(
         workload=result.workload,
         policy=result.policy_name,
-        data_frame=table,
+        data_frame=None,
         metadata=build_metadata_string(stats),
         description=description,
         statistics=stats,
@@ -206,8 +240,9 @@ class TraceDatabase:
     def entries_for_policy(self, policy: str) -> List[TraceEntry]:
         return [entry for entry in self.entries.values() if entry.policy == policy]
 
-    def loaded_data(self) -> Dict[str, Dict[str, object]]:
-        """The exact dictionary layout Ranger-generated code queries."""
+    def loaded_data(self) -> Dict[str, LoadedDataValue]:
+        """The exact layout Ranger-generated code queries (tables are built
+        on first read)."""
         return {key: entry.as_loaded_data_value()
                 for key, entry in self.entries.items()}
 
@@ -249,7 +284,7 @@ class TraceDatabase:
         for key in self.keys():
             entry = self.entries[key]
             lines.append(
-                f"  {key}: {len(entry.data_frame)} rows, "
+                f"  {key}: {entry.statistics.total_accesses} rows, "
                 f"{entry.statistics.miss_rate * 100:.2f}% miss rate")
         return "\n".join(lines)
 

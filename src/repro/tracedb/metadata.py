@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.tracedb.stats import WorkloadStatistics
+from repro.tracedb.schema import WorkloadStatistics
 
 
 @dataclass

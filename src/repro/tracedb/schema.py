@@ -3,19 +3,24 @@
 Section 4.3 of the paper documents one row per LLC access with the columns
 listed in :data:`ACCESS_COLUMNS`.  :class:`AccessLog` is the columnar
 in-memory representation the simulation engine appends into (typed arrays
-plus ragged object columns); :meth:`AccessLog.to_table` builds the canonical
-:class:`~repro.tracedb.table.Table` column-by-column, which is what Sieve
-filters and Ranger-generated code query.  :class:`AccessRecord` remains the
-per-access *row view* — ``AccessLog.to_records`` materialises it on demand,
-and ``records_to_table`` still converts row lists for hand-built inputs; both
+plus ragged object columns).  The whole-trace summary
+(:meth:`AccessLog.workload_statistics`) is computed straight from those int
+columns, so building a database entry formats nothing;
+:meth:`AccessLog.to_table` builds the canonical
+:class:`~repro.tracedb.table.Table` column-by-column only when a retriever
+first reads an entry's rows.  :class:`AccessRecord` remains the per-access
+*row view* — ``AccessLog.to_records`` materialises it on demand, and
+``records_to_table`` still converts row lists for hand-built inputs; both
 paths produce byte-identical tables.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.tracedb.table import Table
 
@@ -100,6 +105,70 @@ def describe_reuse_distance(distance: Optional[int]) -> str:
     if distance <= 4096:
         return f"reused after a while (in {distance} accesses)"
     return f"reused far in the future (in {distance} accesses)"
+
+
+class _Rendered(dict):
+    """``{int: text}`` memo that renders each distinct value once.
+
+    One instance lives for one :meth:`AccessLog.to_table` call, so a value
+    repeated across rows and snapshot columns is formatted a single time.
+    """
+
+    def __init__(self, render: Callable[[int], str]):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = self.render(value)
+        return text
+
+    def column(self, values: Sequence[int]) -> List[str]:
+        return list(map(self.__getitem__, values))
+
+
+@dataclass
+class WorkloadStatistics:
+    """Whole-trace summary used to build the metadata string."""
+
+    total_accesses: int
+    total_misses: int
+    total_evictions: int
+    compulsory_misses: int
+    capacity_misses: int
+    conflict_misses: int
+    wrong_evictions: int
+    recency_miss_correlation: Optional[float]
+    unique_pcs: int
+    unique_addresses: int
+
+    @property
+    def miss_rate(self) -> float:
+        return self.total_misses / self.total_accesses if self.total_accesses else 0.0
+
+    @property
+    def hit_rate(self) -> float:
+        return 1.0 - self.miss_rate
+
+    @property
+    def wrong_eviction_fraction(self) -> float:
+        if not self.total_evictions:
+            return 0.0
+        return self.wrong_evictions / self.total_evictions
+
+
+def _pearson(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
+    """Pearson correlation; None when undefined (fewer than 2 points or a
+    zero-variance series)."""
+    if len(xs) < 2 or len(xs) != len(ys):
+        return None
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    var_x = sum((x - mean_x) ** 2 for x in xs)
+    var_y = sum((y - mean_y) ** 2 for y in ys)
+    if var_x <= 0 or var_y <= 0:
+        return None
+    return cov / math.sqrt(var_x * var_y)
 
 
 @dataclass
@@ -200,8 +269,9 @@ class AccessLog:
     log pickles/unpickles at buffer speed: no per-tuple object cost, which
     is what makes the persistent store's warm starts fast.  Per-PC source
     context stays as string lists (pickle deduplicates the shared per-PC
-    string objects).  ``to_table`` builds the canonical data frame directly
-    from these columns — no intermediate row dictionaries — and is
+    string objects).  ``workload_statistics`` summarises the log without
+    formatting a value; ``to_table`` builds the canonical data frame
+    directly from these columns — no intermediate row dictionaries — and is
     byte-identical to ``records_to_table(log.to_records())``.
     """
 
@@ -256,7 +326,11 @@ class AccessLog:
                assembly_code: str, resident: List[Tuple[int, int]],
                history: List[Tuple[int, int]],
                scores: List[Tuple[int, float]]) -> None:
-        """Append one access (optional ints already encoded as ``-1``)."""
+        """Append one access (optional ints already encoded as ``-1``).
+
+        The snapshot pairs are copied into the flat arrays, so callers may
+        pass lists they keep mutating.
+        """
         self.access_indices.append(access_index)
         self.pcs.append(pc)
         self.block_addresses.append(block_address)
@@ -270,22 +344,15 @@ class AccessLog:
         self.function_names.append(function_name)
         self.function_codes.append(function_code)
         self.assembly_codes.append(assembly_code)
-        line_pairs = self.line_pairs
-        for block, line_pc in resident:
-            line_pairs.append(block)
-            line_pairs.append(line_pc)
-        self.line_offsets.append(len(line_pairs))
-        history_pairs = self.history_pairs
-        for block, history_pc in history:
-            history_pairs.append(block)
-            history_pairs.append(history_pc)
-        self.history_offsets.append(len(history_pairs))
-        score_blocks = self.score_blocks
-        score_values = self.score_values
-        for block, score in scores:
-            score_blocks.append(block)
-            score_values.append(score)
-        self.score_offsets.append(len(score_blocks))
+        self.line_pairs.extend(chain.from_iterable(resident))
+        self.line_offsets.append(len(self.line_pairs))
+        self.history_pairs.extend(chain.from_iterable(history))
+        self.history_offsets.append(len(self.history_pairs))
+        if scores:
+            blocks, values = zip(*scores)
+            self.score_blocks.extend(blocks)
+            self.score_values.extend(values)
+        self.score_offsets.append(len(self.score_blocks))
 
     # ------------------------------------------------------------------
     # ragged-row decoding
@@ -310,51 +377,95 @@ class AccessLog:
         return [(blocks[j], values[j]) for j in range(start, stop)]
 
     # ------------------------------------------------------------------
+    def workload_statistics(self) -> WorkloadStatistics:
+        """Whole-trace summary computed straight from the int columns.
+
+        Equal to the summary the built table's columns give: an eviction is
+        a row with a victim, "wrong" when the victim is reused before the
+        accessed block, and the recency/miss correlation runs over the rows
+        whose block was seen before, in row order.
+        """
+        evictions = wrong = 0
+        for evicted, evicted_rd, accessed_rd in zip(
+                self.evicted_blocks, self.evicted_reuse, self.accessed_reuse):
+            if evicted < 0:
+                continue
+            evictions += 1
+            if evicted_rd != NEVER_REUSED and (accessed_rd == NEVER_REUSED
+                                               or evicted_rd < accessed_rd):
+                wrong += 1
+        recency_values: List[float] = []
+        miss_values: List[float] = []
+        for recency, hit in zip(self.recencies, self.hit_flags):
+            if recency != NEVER_REUSED:
+                recency_values.append(float(recency))
+                miss_values.append(0.0 if hit else 1.0)
+        codes = self.miss_type_codes
+        return WorkloadStatistics(
+            total_accesses=len(self),
+            total_misses=len(self) - sum(self.hit_flags),
+            total_evictions=evictions,
+            compulsory_misses=codes.count(MISS_TYPE_CODES[MISS_TYPE_COMPULSORY]),
+            capacity_misses=codes.count(MISS_TYPE_CODES[MISS_TYPE_CAPACITY]),
+            conflict_misses=codes.count(MISS_TYPE_CODES[MISS_TYPE_CONFLICT]),
+            wrong_evictions=wrong,
+            recency_miss_correlation=_pearson(recency_values, miss_values),
+            unique_pcs=len(set(self.pcs)),
+            unique_addresses=len(set(self.block_addresses)),
+        )
+
     def to_table(self) -> Table:
         """Build the canonical data frame column-by-column (no row dicts).
 
         Every formatted value matches :meth:`AccessRecord.to_row` exactly,
         so tables from this path are byte-identical to the row-materialised
-        ``records_to_table`` output.
+        ``records_to_table`` output.  Each distinct address, PC and
+        recency/reuse value is rendered once, and the ragged snapshot
+        columns are sliced from the rendered flats.
         """
-        size = len(self)
-        formatted_lines = [
-            [(format_address(addr), format_pc(pc)) for addr, pc in self.row_lines(i)]
-            for i in range(size)
-        ]
+        addresses = _Rendered(format_address)
+        pcs = _Rendered(format_pc)
+        reuse = _Rendered(describe_reuse_distance)
+
+        def ragged(flat: array, offsets: array) -> List[List[Tuple[str, str]]]:
+            pairs = list(zip(addresses.column(flat[0::2]),
+                             pcs.column(flat[1::2])))
+            halves = [offset // 2 for offset in offsets]
+            return [pairs[start:stop]
+                    for start, stop in zip(halves, halves[1:])]
+
+        lines = ragged(self.line_pairs, self.line_offsets)
+        scores = list(zip(self.score_blocks, self.score_values))
+        score_offsets = self.score_offsets
         columns: Dict[str, List[Any]] = {
             "access_index": list(self.access_indices),
-            "program_counter": [format_pc(pc) for pc in self.pcs],
-            "memory_address": [format_address(addr)
-                               for addr in self.block_addresses],
+            "program_counter": pcs.column(self.pcs),
+            "memory_address": addresses.column(self.block_addresses),
             "cache_set_id": list(self.set_ids),
             "evict": [HIT_LABEL if hit else MISS_LABEL
                       for hit in self.hit_flags],
             "miss_type": [MISS_TYPE_LABELS[code]
                           for code in self.miss_type_codes],
-            "evicted_address": [format_address(block) if block >= 0 else ""
+            "evicted_address": [addresses[block] if block >= 0 else ""
                                 for block in self.evicted_blocks],
             # describe_recency / describe_reuse_distance already treat a
             # negative value exactly like None, so the -1 encoding feeds them
             # directly.
-            "accessed_address_recency": [describe_recency(value)
-                                         for value in self.recencies],
-            "accessed_address_reuse_distance": [
-                describe_reuse_distance(value) for value in self.accessed_reuse],
-            "evicted_address_reuse_distance": [
-                describe_reuse_distance(value) for value in self.evicted_reuse],
+            "accessed_address_recency":
+                _Rendered(describe_recency).column(self.recencies),
+            "accessed_address_reuse_distance": reuse.column(self.accessed_reuse),
+            "evicted_address_reuse_distance": reuse.column(self.evicted_reuse),
             "function_name": list(self.function_names),
             "function_code": list(self.function_codes),
             "assembly_code": list(self.assembly_codes),
-            "current_cache_lines": formatted_lines,
-            "recent_access_history": [
-                [(format_address(addr), format_pc(pc))
-                 for addr, pc in self.row_history(i)]
-                for i in range(size)],
-            "cache_line_eviction_scores": [self.row_scores(i)
-                                           for i in range(size)],
+            "current_cache_lines": lines,
+            "recent_access_history": ragged(self.history_pairs,
+                                            self.history_offsets),
+            "cache_line_eviction_scores": [
+                scores[start:stop]
+                for start, stop in zip(score_offsets, score_offsets[1:])],
             "current_cache_line_addresses": [
-                [addr for addr, _pc in lines] for lines in formatted_lines],
+                [addr for addr, _pc in row] for row in lines],
             "evicted_address_reuse_distance_numeric": list(self.evicted_reuse),
             "accessed_address_reuse_distance_numeric": list(self.accessed_reuse),
             "accessed_address_recency_numeric": list(self.recencies),

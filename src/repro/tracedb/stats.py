@@ -1,20 +1,30 @@
-"""Cache statistical expert: per-PC, per-set and whole-trace statistics.
+"""Cache statistical expert: per-PC and per-set statistics.
 
 The paper's Sieve pipeline includes a "Cache Statistical Expert" stage that,
 for the PCs present in a retrieved slice, computes "miss rate, access and
 eviction reuse distances, and percentage of bad evictions" (section 3.2.3).
 :class:`CacheStatisticalExpert` implements exactly those helpers on top of a
-trace :class:`~repro.tracedb.table.Table`, plus the per-set hotness and
-whole-trace summaries the metadata string and the insight analyses need.
+trace :class:`~repro.tracedb.table.Table`, plus the per-set hotness the
+insight analyses need.  The whole-trace summary behind the metadata string
+(:class:`WorkloadStatistics`) comes from the access log itself
+(:meth:`~repro.tracedb.schema.AccessLog.workload_statistics`), so it needs
+no table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from repro.tracedb.schema import HIT_LABEL, MISS_LABEL, NEVER_REUSED
+# WorkloadStatistics lives with the access log it summarises; it is
+# re-exported here so existing imports and stored entries keep resolving.
+from repro.tracedb.schema import (  # noqa: F401
+    HIT_LABEL,
+    MISS_LABEL,
+    NEVER_REUSED,
+    WorkloadStatistics,
+)
 from repro.tracedb.table import Table
 
 
@@ -68,60 +78,14 @@ class SetStatistics:
         return self.hits / self.accesses if self.accesses else 0.0
 
 
-@dataclass
-class WorkloadStatistics:
-    """Whole-trace summary used to build the metadata string."""
-
-    total_accesses: int
-    total_misses: int
-    total_evictions: int
-    compulsory_misses: int
-    capacity_misses: int
-    conflict_misses: int
-    wrong_evictions: int
-    recency_miss_correlation: Optional[float]
-    unique_pcs: int
-    unique_addresses: int
-
-    @property
-    def miss_rate(self) -> float:
-        return self.total_misses / self.total_accesses if self.total_accesses else 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        return 1.0 - self.miss_rate
-
-    @property
-    def wrong_eviction_fraction(self) -> float:
-        if not self.total_evictions:
-            return 0.0
-        return self.wrong_evictions / self.total_evictions
-
-
-def _pearson(xs: Sequence[float], ys: Sequence[float]) -> Optional[float]:
-    """Pearson correlation; None when undefined (fewer than 2 points or a
-    zero-variance series)."""
-    if len(xs) < 2 or len(xs) != len(ys):
-        return None
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
-    if var_x <= 0 or var_y <= 0:
-        return None
-    return cov / math.sqrt(var_x * var_y)
-
-
 class CacheStatisticalExpert:
-    """Computes per-PC / per-set / whole-trace statistics over a trace table.
+    """Computes per-PC and per-set statistics over a trace table.
 
     Row lookups (PC slices, exact-equality counts, hit/miss outcomes) are
     expressed as declarative :class:`repro.analytics.Query` objects and
     executed through a tabular-store ``backend`` (``"stdlib"`` by default;
     ``"sqlite"`` spills the trace to disk first).  The cross-column row
-    logic (bad-eviction classification, recency/miss correlation) stays as
-    explicit loops — it is row-wise conditional logic the declarative layer
+    logic (bad-eviction classification) stays as explicit loops — it is row-wise conditional logic the declarative layer
     deliberately does not model.
     """
 
@@ -253,43 +217,6 @@ class CacheStatisticalExpert:
         hot = [s.set_id for s in ordered[:count]]
         cold = [s.set_id for s in ordered[-count:]] if len(ordered) >= count else []
         return hot, cold
-
-    # ------------------------------------------------------------------
-    # whole-trace statistics
-    # ------------------------------------------------------------------
-    def workload_statistics(self) -> WorkloadStatistics:
-        table = self.table
-        total = len(table)
-        misses = sum(value for value in table["is_miss"].values)
-        evictions = sum(1 for value in table["evicted_address"].values if value)
-        miss_types = table["miss_type"].value_counts()
-        wrong = 0
-        recency_values: List[float] = []
-        miss_values: List[float] = []
-        for row in table.iter_rows():
-            if row["evicted_address"]:
-                evicted_rd = row["evicted_address_reuse_distance_numeric"]
-                accessed_rd = row["accessed_address_reuse_distance_numeric"]
-                if evicted_rd is not None and evicted_rd != NEVER_REUSED:
-                    if (accessed_rd is None or accessed_rd == NEVER_REUSED
-                            or evicted_rd < accessed_rd):
-                        wrong += 1
-            recency = row["accessed_address_recency_numeric"]
-            if recency is not None and recency != NEVER_REUSED:
-                recency_values.append(float(recency))
-                miss_values.append(float(row["is_miss"]))
-        return WorkloadStatistics(
-            total_accesses=total,
-            total_misses=misses,
-            total_evictions=evictions,
-            compulsory_misses=miss_types.get("Compulsory", 0),
-            capacity_misses=miss_types.get("Capacity", 0),
-            conflict_misses=miss_types.get("Conflict", 0),
-            wrong_evictions=wrong,
-            recency_miss_correlation=_pearson(recency_values, miss_values),
-            unique_pcs=len(table["program_counter"].unique()),
-            unique_addresses=len(table["memory_address"].unique()),
-        )
 
     # ------------------------------------------------------------------
     # convenience lookups used by retrievers and the bench generator
