@@ -14,8 +14,8 @@ Layer stack (each importable as ``repro.<layer>``):
 * :mod:`repro.sim`       -- the trace-driven LLC / hierarchy simulator,
 * :mod:`repro.tracedb`   -- the eviction-annotated external store,
 * :mod:`repro.analytics` -- the declarative query layer over columnar
-  tables (:class:`Query` objects executed through swappable
-  stdlib/sqlite :class:`BaseTabularStore` backends),
+  tables (:class:`Query` objects executed by the stdlib columnar
+  executor, :class:`StdlibBackend`),
 * :mod:`repro.retrieval` -- Sieve, Ranger and the embedding baseline
   (registry-driven),
 * :mod:`repro.llm`       -- simulated LLM backends (registry-driven),
@@ -41,7 +41,6 @@ from repro.analytics import (
     Join,
     OrderBy,
     Query,
-    SqliteBackend,
     StdlibBackend,
     parse_query,
     run_query,
@@ -139,7 +138,6 @@ __all__ = [
     "Join",
     "BaseTabularStore",
     "StdlibBackend",
-    "SqliteBackend",
     "parse_query",
     "run_query",
     # declarative experiment API

@@ -10,9 +10,12 @@ tables:
 Queries are plain frozen dataclasses with lossless ``to_dict`` /
 ``from_dict`` wire forms (mirroring :class:`repro.core.experiment
 .ExperimentSpec`), so they ride the JSON-lines serve protocol unchanged.
-Execution semantics are defined once in :mod:`repro.analytics.backends`
-and every backend must honour them bit-for-bit; the differential test
-suite in ``tests/test_analytics.py`` enforces that contract.
+Execution semantics are defined once in :mod:`repro.analytics.backends`.
+The contract every result honours: cells come back canonical (``bool``
+becomes ``0``/``1`` and ``NaN`` becomes NULL/``None``), NULLs sort last,
+numbers sort before strings, and source row order breaks every remaining
+tie.  ``tests/test_analytics.py`` pins result bytes for a randomized query
+matrix so the contract cannot drift.
 """
 
 from __future__ import annotations
@@ -56,8 +59,9 @@ class Filter:
     never match NULL cells; ``ne``/``not_in`` therefore *exclude* NULLs,
     matching SQL.  Ordered comparisons are additionally type-guarded: a
     numeric literal only matches numeric cells and a string literal only
-    matches string cells, so mixed-type columns behave identically in the
-    stdlib executor and in sqlite.
+    matches string cells: ``5 > "3"`` is simply false, never an error.
+    Cells are compared in canonical form, so a ``True`` cell equals ``1``
+    and a ``NaN`` cell is NULL.
     """
 
     column: str
@@ -175,9 +179,10 @@ class OrderBy:
 
     NULL cells sort last in *both* directions (the :meth:`Table.sort_by`
     convention); among non-NULL cells, numbers sort before strings and the
-    requested direction applies to both the kind rank and the value, which
-    is exactly how sqlite's cross-type comparison behaves.  Ties preserve
-    the source row order (stable).
+    requested direction applies to both the kind rank and the value
+    (ascending gives ``1, 2, "a", "b", NULL``; descending gives
+    ``"b", "a", 2, 1, NULL``).  Ties preserve the source row order
+    (stable).
     """
 
     column: str

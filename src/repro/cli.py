@@ -298,10 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="query_format",
         help="with --query: render the result as a fixed-width table or "
              "as CSV (default: table)")
-    experiment_report.add_argument(
-        "--backend", default="stdlib", dest="analytics_backend",
-        help="with --query: analytics backend to execute through "
-             "(stdlib or sqlite; default: stdlib)")
 
     serve = subparsers.add_parser(
         "serve", help="serve questions over the JSON-lines TCP protocol")
@@ -855,7 +851,7 @@ def _run_report_query(result, args: argparse.Namespace) -> int:
         print(f"error: bad --query: {error}", file=sys.stderr)
         return 2
     try:
-        table = result.query(query, backend=args.analytics_backend)
+        table = result.query(query)
     except (UnknownNameError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

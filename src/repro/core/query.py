@@ -94,6 +94,9 @@ class QueryIntent:
     #: the question is about hits ("hit rate", "most hits") rather than
     #: misses; answers must report/rank by 1 - miss rate.
     wants_hit_rate: bool = False
+    #: the outcome a count question is restricted to ("hit" or "miss"),
+    #: set when it names exactly one of "hits"/"misses".
+    outcome: Optional[str] = None
 
     @property
     def pc(self) -> Optional[str]:
@@ -128,6 +131,8 @@ class QueryIntent:
             parts.append(f"aggregation={self.aggregation}")
         if self.comparison:
             parts.append(f"comparison={self.comparison}")
+        if self.outcome:
+            parts.append(f"outcome={self.outcome}")
         return " ".join(parts)
 
 
@@ -303,11 +308,14 @@ class QueryParser:
         # boundary keeps substrings like "offsets" or "onsets" from matching.
         intent.wants_sets = ("cache set" in lowered
                              or re.search(r"\bsets\b", lowered) is not None)
-        intent.wants_hit_rate = (("hit rate" in lowered
-                                  or re.search(r"\bhits\b", lowered) is not None)
+        names_hits = re.search(r"\bhits\b", lowered) is not None
+        names_misses = re.search(r"\bmisses\b", lowered) is not None
+        intent.wants_hit_rate = (("hit rate" in lowered or names_hits)
                                  and "miss rate" not in lowered
-                                 and re.search(r"\bmisses\b", lowered) is None)
+                                 and not names_misses)
         intent.wants_pc_list = "list" in lowered and "pc" in lowered
 
         intent.question_type = self.classify(question, intent)
+        if intent.question_type == COUNT and names_hits != names_misses:
+            intent.outcome = "hit" if names_hits else "miss"
         return intent

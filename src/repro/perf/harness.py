@@ -28,9 +28,7 @@ The suite times, on the bundled workloads:
   nanoseconds — and deep ``store verify`` throughput in records/sec),
 * the analytics engine (``analytics``: rows/sec for one representative
   filter + group-aggregate + top-k :class:`repro.analytics.Query` through
-  the stdlib and sqlite backends at small and large row counts, with the
-  sqlite spill cost timed separately and a stdlib-vs-sqlite identity
-  check),
+  the stdlib executor at small and large row counts),
 
 and emits a JSON report (``BENCH_<rev>.json``) whose schema is stable across
 revisions, so consecutive reports are directly comparable.  ``--quick``
@@ -563,15 +561,13 @@ def run_perf_suite(quick: bool = False,
 
     # --- analytics: declarative query engine throughput ------------------
     # One representative filter + group-aggregate + top-k query runs over a
-    # synthetic trace-shaped table at two row counts, through both backends.
-    # rows/sec = input rows / best execution time (sqlite spill timed apart,
-    # since registration is a one-off cost per table).
+    # synthetic trace-shaped table at two row counts.
+    # rows/sec = input rows / best execution time.
     from repro.analytics import (
         Aggregate,
         Filter,
         OrderBy,
         Query,
-        SqliteBackend,
         StdlibBackend,
     )
     from repro.tracedb.table import Table
@@ -600,7 +596,6 @@ def run_perf_suite(quick: bool = False,
     analytics_small_rows, analytics_large_rows = (
         (1_000, 10_000) if quick else (5_000, 50_000))
     analytics_sizes: List[Dict[str, object]] = []
-    analytics_rates: Dict[str, Optional[float]] = {}
     for size_label, analytics_rows in (("small", analytics_small_rows),
                                        ("large", analytics_large_rows)):
         analytics_table = _analytics_table(analytics_rows)
@@ -610,40 +605,17 @@ def run_perf_suite(quick: bool = False,
             f"analytics/stdlib_{size_label}",
             lambda store=stdlib_store: store.execute(analytics_query),
             repeats, rows=analytics_rows)
-        sqlite_store = SqliteBackend()
-        spill_timing = _measure(
-            f"analytics/sqlite_spill_{size_label}",
-            lambda store=sqlite_store, table=analytics_table:
-                store.register_table("t", table),
-            repeats, rows=analytics_rows)
-        sqlite_timing = _measure(
-            f"analytics/sqlite_{size_label}",
-            lambda store=sqlite_store: store.execute(analytics_query),
-            repeats, rows=analytics_rows)
-        identical = (stdlib_store.execute(analytics_query).to_dict()
-                     == sqlite_store.execute(analytics_query).to_dict())
-        sqlite_store.close()
-        timings.extend([stdlib_timing, spill_timing, sqlite_timing])
-        stdlib_rate = (analytics_rows / stdlib_timing.seconds
-                       if stdlib_timing.seconds > 0 else None)
-        sqlite_rate = (analytics_rows / sqlite_timing.seconds
-                       if sqlite_timing.seconds > 0 else None)
-        analytics_rates[size_label] = stdlib_rate
-        analytics_rates[f"{size_label}_sqlite"] = sqlite_rate
+        timings.append(stdlib_timing)
         analytics_sizes.append({
             "label": size_label,
             "rows": analytics_rows,
             "stdlib_seconds": stdlib_timing.seconds,
-            "stdlib_rows_per_second": stdlib_rate,
-            "sqlite_spill_seconds": spill_timing.seconds,
-            "sqlite_seconds": sqlite_timing.seconds,
-            "sqlite_rows_per_second": sqlite_rate,
-            "identical": identical,
+            "stdlib_rows_per_second": (analytics_rows / stdlib_timing.seconds
+                                       if stdlib_timing.seconds > 0 else None),
         })
     analytics_section = {
         "query": analytics_query.to_dict(),
         "sizes": analytics_sizes,
-        "all_identical": all(size["identical"] for size in analytics_sizes),
     }
 
     # --- derived summary -------------------------------------------------
@@ -671,8 +643,7 @@ def run_perf_suite(quick: bool = False,
         "store_info_speedup_vs_scan":
             store_index_section["info_speedup_vs_scan"],
         "store_index_served": store_index_section["index_served"],
-        "analytics_stdlib_rows_per_s": analytics_rates.get("large"),
-        "analytics_sqlite_rows_per_s": analytics_rates.get("large_sqlite"),
+        "analytics_stdlib_rows_per_s": analytics_sizes[-1]["stdlib_rows_per_second"],
     }
     if parallel is not None:
         derived["parallel_build_speedup"] = (
@@ -858,7 +829,5 @@ def format_report(report: Dict[str, object]) -> str:
         largest = analytics_section["sizes"][-1]
         lines.append(
             f"  analytics: stdlib {largest['stdlib_rows_per_second']:,.0f} "
-            f"rows/s, sqlite {largest['sqlite_rows_per_second']:,.0f} rows/s "
-            f"at {largest['rows']} rows "
-            f"({'identical' if analytics_section.get('all_identical') else 'DIVERGED'})")
+            f"rows/s at {largest['rows']} rows")
     return "\n".join(lines)

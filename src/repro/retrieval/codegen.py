@@ -162,6 +162,8 @@ class RangerCodeGenerator:
             filters.append(f"program_counter={pc!r}")
         if address is not None:
             filters.append(f"memory_address={address!r}")
+        if intent.outcome is not None:
+            filters.append(f"is_miss={int(intent.outcome == 'miss')}")
         filter_expr = ", ".join(filters)
         where_expr = f"df.where({filter_expr})" if filter_expr else "df"
         body = f"""

@@ -20,11 +20,11 @@ it only exposes a bounded slice preview and raw value samples.
 
 Every table lookup the stages perform — equality slices, presence counts,
 hit tallies, value sampling — is expressed as a declarative
-:class:`repro.analytics.Query` and executed through a swappable tabular-store
-backend (``analytics=`` constructor knob, ``"stdlib"`` by default), so the
-grounding path runs through one tested engine instead of ad-hoc loops.
-Answers are byte-identical to the pre-engine implementation
-(``tests/test_analytics.py`` holds the equivalence per intent type).
+:class:`repro.analytics.Query` and executed through
+:func:`repro.analytics.run_query`, so the grounding path runs through one
+tested engine instead of ad-hoc loops.
+``tests/test_analytics.py`` checks those lookups against direct table
+scans.
 """
 
 from __future__ import annotations
@@ -58,26 +58,22 @@ class SieveRetriever(Retriever):
                  embedder: Optional[HashingEmbedder] = None,
                  slice_limit: int = 40,
                  values_sample_limit: int = 32,
-                 cross_policy: bool = True,
-                 analytics: str = "stdlib"):
+                 cross_policy: bool = True):
         super().__init__(database)
         self.embedder = embedder if embedder is not None else HashingEmbedder()
         self.slice_limit = slice_limit
         self.values_sample_limit = values_sample_limit
         self.cross_policy = cross_policy
-        #: analytics backend name every stage lookup executes through
-        #: (see :mod:`repro.analytics`).
-        self.analytics = analytics
 
     # ------------------------------------------------------------------
     # analytics engine plumbing: every table lookup in the stages below is
-    # a declarative Query executed through the configured backend.
+    # a declarative Query executed through the analytics engine.
     # ------------------------------------------------------------------
     def _trace_slice(self, table, **conditions):
         """Rows of ``table`` matching exact-equality ``conditions``."""
         query = Query(table="trace", filters=tuple(
             Filter(name, "eq", value) for name, value in conditions.items()))
-        return run_query(query, {"trace": table}, backend=self.analytics)
+        return run_query(query, {"trace": table})
 
     def _trace_count(self, table, **conditions) -> int:
         """Number of rows of ``table`` matching ``conditions``."""
@@ -86,8 +82,7 @@ class SieveRetriever(Retriever):
             filters=tuple(Filter(name, "eq", value)
                           for name, value in conditions.items()),
             aggregates=(Aggregate("count", alias="n"),))
-        return run_query(query, {"trace": table},
-                         backend=self.analytics)["n"].values[0]
+        return run_query(query, {"trace": table})["n"].values[0]
 
     def _field_values(self, table, field: str) -> List:
         """Non-null, non-sentinel values of ``field`` in row order."""
@@ -95,8 +90,7 @@ class SieveRetriever(Retriever):
             table="trace",
             select=(field,),
             filters=(Filter(field, "not_null"), Filter(field, "ne", -1)))
-        return run_query(query, {"trace": table},
-                         backend=self.analytics)[field].values
+        return run_query(query, {"trace": table})[field].values
 
     # ------------------------------------------------------------------
     # stage 1: workload / policy selection
@@ -327,8 +321,7 @@ class SieveRetriever(Retriever):
         for entry in entries:
             if entry.workload != primary.workload:
                 continue
-            expert = CacheStatisticalExpert(entry.data_frame,
-                                            backend=self.analytics)
+            expert = CacheStatisticalExpert(entry.data_frame)
             if self._trace_count(entry.data_frame, program_counter=pc) == 0:
                 continue
             stats = expert.pc_statistics(pc)

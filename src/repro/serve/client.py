@@ -289,16 +289,14 @@ class RemoteClient:
 
     def query(self, fingerprint: str,
               query: Union[Dict[str, Any], "object"],
-              backend: str = "stdlib",
               deadline: Optional[float] = None):
         """Run a declarative analytics query against a store-backed
         experiment result on the server, without shipping the whole table.
 
         ``fingerprint`` may be a unique prefix of the stored experiment's
         fingerprint; ``query`` is a :class:`repro.analytics.Query` (or its
-        ``to_dict`` wire form) over the experiment's ``cells`` table;
-        ``backend`` picks the server-side analytics backend (``stdlib`` or
-        ``sqlite``).  Returns the result :class:`~repro.tracedb.table.Table`,
+        ``to_dict`` wire form) over the experiment's ``cells`` table.
+        Returns the result :class:`~repro.tracedb.table.Table`,
         byte-identical to running the same query in-process on the server's
         store.
         """
@@ -307,7 +305,7 @@ class RemoteClient:
 
         payload = as_query(query).to_dict()
         result = self.request({"op": "query", "fingerprint": fingerprint,
-                               "query": payload, "backend": backend},
+                               "query": payload},
                               deadline=deadline)
         return Table.from_columns(result["columns"])
 

@@ -260,12 +260,13 @@ class CacheMindServer:
             if not isinstance(query, dict):
                 raise ValueError("'query' needs a 'query' object "
                                  "(Query.to_dict form)")
+            # Older clients always send "backend": "stdlib"; it is the one
+            # executor, so that value is accepted and any other rejected.
             backend = payload.get("backend", "stdlib")
-            if not isinstance(backend, str):
-                raise ValueError("'backend' must be an analytics backend "
-                                 "name string")
-            full, table = self.service.query_experiment(
-                fingerprint, query, backend=backend)
+            if backend != "stdlib":
+                raise ValueError(f"unknown analytics backend {backend!r}; "
+                                 "only 'stdlib' is supported")
+            full, table = self.service.query_experiment(fingerprint, query)
             # Columns ride verbatim (no transport metadata) so the remote
             # result table compares byte-identical to an in-process run.
             return {"fingerprint": full, "columns": table.to_dict()}

@@ -211,15 +211,14 @@ class CacheMindService:
         return result
 
     def query_experiment(self, fingerprint: str,
-                         query: Union[Dict[str, Any], "object"],
-                         backend: str = "stdlib"):
+                         query: Union[Dict[str, Any], "object"]):
         """Run a declarative analytics query against a store-backed
         experiment result.
 
         ``fingerprint`` may be a unique prefix of a stored experiment's
         fingerprint; ``query`` is a :class:`repro.analytics.Query` or its
-        wire form, executed against the experiment's cell table through the
-        named analytics ``backend``.  Returns ``(full_fingerprint, table)``.
+        wire form, executed against the experiment's cell table.  Returns
+        ``(full_fingerprint, table)``.
         Like :meth:`run_experiment` this runs outside the serving lock —
         it only reads the (thread-safe) store, so asks keep serving.
         """
@@ -243,7 +242,7 @@ class CacheMindService:
         if result is None:
             raise ValueError(
                 f"stored experiment {matches[0]} failed to load")
-        return matches[0], result.query(as_query(query), backend=backend)
+        return matches[0], result.query(as_query(query))
 
     # ------------------------------------------------------------------
     # asyncio front-end

@@ -1,11 +1,14 @@
-"""The analytics engine: Query objects, stdlib/sqlite backends, DSL, wiring.
+"""The analytics engine: Query objects, the stdlib executor, DSL, wiring.
 
 The flagship acceptance test is the randomized differential suite: every
 query in the matrix — NULLs, mixed types, empty groups, top-k ties, joins —
-must return byte-identical tables from the stdlib executor and the sqlite
-spill backend.
+must return tables whose canonical JSON matches a pinned SHA-256 digest.
+The digests were recorded while a second, independent SQL executor still
+returned the same bytes, so they hold the executor to that agreed
+behaviour.
 """
 
+import hashlib
 import json
 import random
 
@@ -19,13 +22,10 @@ from repro.analytics import (
     OrderBy,
     Query,
     QuerySyntaxError,
-    SqliteBackend,
     StdlibBackend,
     aggregate_values,
     as_query,
-    available_backends,
     canonical_value,
-    create_backend,
     parse_query,
     run_query,
 )
@@ -38,9 +38,9 @@ def make_table(**columns) -> Table:
                                for name, values in columns.items()})
 
 
-@pytest.fixture(params=["stdlib", "sqlite"])
-def backend(request):
-    with create_backend(request.param) as store:
+@pytest.fixture(params=["stdlib"])
+def backend():
+    with StdlibBackend() as store:
         yield store
 
 
@@ -178,7 +178,7 @@ def test_table_aggregate_median():
 
 
 # ----------------------------------------------------------------------
-# executor semantics (parametrized over both backends)
+# executor semantics
 # ----------------------------------------------------------------------
 def test_filters_null_semantics(backend):
     backend.register_table("t", make_table(a=[1, 2, None, 3], b=["x", None, "y", "x"]))
@@ -318,23 +318,18 @@ def test_store_table_management(backend):
     assert not backend.has_table("t")
     with pytest.raises(UnknownNameError):
         backend.load_table("t")
-    with pytest.raises(ValueError):
-        backend.register_table("t", make_table(__row__=[1]))
+    backend.close()
+    with pytest.raises(RuntimeError):
+        backend.register_table("u", make_table(a=[1]))
 
 
-def test_registry_and_run_query():
-    assert available_backends() == ["sqlite", "stdlib"]
-    with pytest.raises(UnknownNameError):
-        create_backend("pandas")
-    with pytest.raises(UnknownNameError):
-        run_query(Query("t"), {"t": make_table(a=[1])}, backend="pandas")
+def test_run_query():
     table = make_table(a=[3, 1, 2])
     result = run_query(Query("t").order("a"), {"t": table})
     assert result["a"].values == [1, 2, 3]
-    # an explicit instance is registered into and stays open
-    with StdlibBackend() as store:
-        run_query(Query("t"), {"t": table}, backend=store)
-        assert store.has_table("t")
+    assert run_query(Query("t").to_dict(), {"t": table})["a"].values == [3, 1, 2]
+    with pytest.raises(UnknownNameError):
+        run_query(Query("missing"), {"t": table})
 
 
 def test_canonical_value_and_aggregate_values():
@@ -348,57 +343,25 @@ def test_canonical_value_and_aggregate_values():
         aggregate_values("nope", [1])
 
 
-# ----------------------------------------------------------------------
-# sqlite backend specifics
-# ----------------------------------------------------------------------
-def test_sqlite_spill_rejects_unspillable_values():
-    with SqliteBackend() as store:
-        with pytest.raises(ValueError):
-            store.register_table("t", make_table(a=[2 ** 63]))  # int64 overflow
-        with pytest.raises(TypeError):
-            store.register_table("t", make_table(a=[{1, 2}]))  # not JSON-able
-
-
-def test_opaque_payloads_round_trip_both_backends(backend):
+def test_opaque_payloads_pass_through(backend):
     # Non-scalar payload columns (the trace table's current_cache_lines)
-    # survive select passthrough on either backend.
+    # survive select passthrough and table loads untouched.
     backend.register_table("t", make_table(
-        k=[1, 2, 3], lines=[[10, 20], {"a": 1}, None],
-        s=["\x00json\x00not-a-payload", "plain", None]))
+        k=[1, 2, 3], lines=[[10, 20], {"a": 1}, None]))
     result = backend.execute(Query("t").where("k", "le", 2))
     assert result["lines"].values == [[10, 20], {"a": 1}]
-    assert result["s"].values == ["\x00json\x00not-a-payload", "plain"]
     assert backend.load_table("t")["lines"].values == [[10, 20], {"a": 1}, None]
 
 
-def test_sqlite_temp_database_cleaned_up():
-    store = SqliteBackend()
-    store.register_table("t", make_table(a=[1, 2]))
-    assert store.load_table("t")["a"].values == [1, 2]
-    store.close()
-    import os
-
-    assert store.path is None or not os.path.exists(store.path)
-    with pytest.raises(RuntimeError):
-        store.register_table("u", make_table(a=[1]))
-
-
-def test_sqlite_named_database_file(tmp_path):
-    path = str(tmp_path / "spill.sqlite3")
-    with SqliteBackend(path=path) as store:
-        store.register_table("t", make_table(a=[1]))
-        assert store.execute(Query("t"))["a"].values == [1]
-
-
 # ----------------------------------------------------------------------
-# the differential matrix: randomized stdlib-vs-sqlite identity
+# the differential matrix: randomized queries against pinned digests
 # ----------------------------------------------------------------------
 def random_table(rng: random.Random, rows: int) -> Table:
     """A messy table: NULLs everywhere, mixed types, heavy ties.
 
     Group keys draw from int/str/None pools only — 1 and 1.0 are the same
-    group key in both engines by design, so float keys would only blur what
-    the differential test is probing.
+    group key by design, so float keys would only blur what the
+    differential test is probing.
     """
     groups = ["red", "green", "blue", 1, 2, None]
     return make_table(
@@ -442,43 +405,100 @@ DIFFERENTIAL_QUERIES = [
 ]
 
 
+#: SHA-256 of ``json.dumps(result.to_dict(), sort_keys=True)`` for each
+#: seed's tables and each query of DIFFERENTIAL_QUERIES, in order.
+PINNED_DIGESTS = {
+    0: (
+        "6c524e8b02bee9ca8e43f5fdc10e76d2dee0d6366d0505e5b47d4e8b174b2a0e",
+        "7c5d32696645b492c6df1852d7224a82eaf49d5b606c02be560fd5c5024eb705",
+        "a2e56a11a2186580dda8b38527f48f00f96b5569bb05dc69c2f585e3db8ecdfd",
+        "d6128cd17e3c7d055122e2fb03e190b9bea95e2fb170da777f8a5da8c74ba032",
+        "c05fa6643825efd232d101847ba9177950506f487fdb2bb2fcddb66160892d9b",
+        "00471f786a345f04d2e427e1ccabfb3b9d486e353172731e6bb8b6748e7c1538",
+        "c8ac31b0d3be61ee16282ebc5d0afeaf064cd5b2b74158b5d5cd9b79bf6937a8",
+        "e0e29411445b1ca15fbbb0d8c64b3a5bddcc06d9049d0ca5128806f4cd241eec",
+        "a84c8cd3d07cd5af84d97234baf9859fea15603a00b7d508caab549031020b35",
+        "7499cfa87d885d30ab4ee16de41af07c2b3366390c5d8fd01b7dc863cc08f7dd",
+        "72c2b33c96577840bfddea8909c5092d6bdaeb352638b777dd25261f2a1be721",
+        "d48ec6addf4b382fd673eb925e980ba5012d11e833df37d5e9c0eda7b9073b7d",
+        "36401b0a23cf795f3c5f21cc058a386bdae2bb6a7fc5864375cec51ca318c04e",
+        "d3a8132db0275ff24cd2f6f10ba51c2af3bfd387f9b561f8b6f8f5b77a609b0f",
+    ),
+    1: (
+        "bb0cd069304890103d8f0346ba0800d97c2675050c3bef74634912d2c2af4ed4",
+        "5ab6962568f47c46377824c346a700f81b0c5784d0c135b86e7ddf0e07b06b02",
+        "6e15fc8bbe7390f2bdf0dc07099ad37c42976e5206b20e010b046fa6a62f07d9",
+        "0dd67eb03f60fd06b2a12cb0752e15dfa5f50e18d1f42eb95a27954f193d08a0",
+        "e7172cc5a857233a73a2b0e2fe63b98998f1c9b1029613a6e3bdf41979131564",
+        "166f0f5764e90e1f61c309cda53763f71e482c4a76c8c5faa1a097c2afaee378",
+        "e4f1cac1a232c20d55d43d7102cad363a327a770737f597687be19a89ba6e066",
+        "cae9256c27cd7c3890f3f877346a3d6eb2a900e35f1e100cd96a1399b17be872",
+        "c1c02c0e584bb8b5daeeb28ff9f79182dea631db68fb51c6402d75068c0045ac",
+        "25547b8e145c0bb5ca803ff784b2f0bc6469edce1f6fd67092b1613dadba4d4f",
+        "72c2b33c96577840bfddea8909c5092d6bdaeb352638b777dd25261f2a1be721",
+        "d48ec6addf4b382fd673eb925e980ba5012d11e833df37d5e9c0eda7b9073b7d",
+        "251d2d58e1608c82fc5817890eb0c5ea5484669d66428f9d42b16ceab2a259e5",
+        "afb525db6bc4270d864401f3a63476cd53f76ed99dc361cbd5a7743867464010",
+    ),
+    2: (
+        "6084f978bd8616c8f2c4237dc7f73e0d62aed099e64d3597e00ca4fedf8cb18d",
+        "fe433f0e90644f95d5d8a8b584be00b82c2bc5e1149ad63ab4d54193c71cd5ea",
+        "97d304da3b7f58fc56be2522163b87811065643d88d7cf4b919e35ee6bbe75e8",
+        "ea0a41c23c64e12956cab78ca3878cd84afe285cee328c7a67153855a38a824f",
+        "6a66c271c882f0474dd9e0054b94d9e0b3a4840762cc3843f7e5961215af9f38",
+        "043bcd02d386eb8720c88655aa8b34102371d95b1f9025f843d9ba17a7bc6ea9",
+        "35181d1060aa5baf717e862c34b9f05141a3f6fdf120da36a66cf2a675e52738",
+        "cf631d811a1a7d21837380cbed3882e39767068580feb7cc4ee364e791615725",
+        "6e158dcf05b225b6793fd3ffe5d8d5d088a17fd2d84d8f1aa1dc9d46e2c87fea",
+        "9bfbc1dd8e42a6bbc0e0b89a09aaea870f8dddb4f076263cf4a99e16d57b7c9f",
+        "72c2b33c96577840bfddea8909c5092d6bdaeb352638b777dd25261f2a1be721",
+        "d48ec6addf4b382fd673eb925e980ba5012d11e833df37d5e9c0eda7b9073b7d",
+        "8d725ce41efd5ecff1968efe796c25696e2508df670fc8324a2867af3b8042ec",
+        "79bc3c363655b0689459efdf3ec1e0cacc0d53c4653f36cee515175dbc87516d",
+    ),
+}
+
+
+def result_digest(table: Table) -> str:
+    return hashlib.sha256(
+        json.dumps(table.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_differential_stdlib_vs_sqlite(seed):
+def test_differential_matches_pinned_digests(seed):
     rng = random.Random(seed)
     left = random_table(rng, 60)
     right = random_table(rng, 40)
-    with StdlibBackend() as stdlib, SqliteBackend() as sqlite:
-        for store in (stdlib, sqlite):
-            store.register_table("t", left)
-            store.register_table("u", right)
-        for query in DIFFERENTIAL_QUERIES:
-            expected = stdlib.execute(query).to_dict()
-            actual = sqlite.execute(query).to_dict()
-            assert actual == expected, f"backends diverged on {query.to_dict()}"
+    assert len(PINNED_DIGESTS[seed]) == len(DIFFERENTIAL_QUERIES)
+    with StdlibBackend() as store:
+        store.register_table("t", left)
+        store.register_table("u", right)
+        for query, pinned in zip(DIFFERENTIAL_QUERIES, PINNED_DIGESTS[seed]):
+            expected = store.execute(query)
+            assert result_digest(expected) == pinned, \
+                f"result bytes drifted on {query.to_dict()}"
             # and the wire form reproduces the native result exactly
-            rewired = stdlib.execute(Query.from_dict(query.to_dict())).to_dict()
-            assert rewired == expected
+            rewired = store.execute(Query.from_dict(query.to_dict()))
+            assert rewired.to_dict() == expected.to_dict()
 
 
 def test_differential_identity_is_type_strict():
-    # `==` cannot see 1 vs 1.0, so pin the numeric types both engines must
-    # produce: aggregates float all numerics (Column._numeric_values), and
-    # the empty sum is the int 0 — everywhere.
+    # `==` cannot see 1 vs 1.0 and digests do not say which query drifted,
+    # so pin the numeric types directly: aggregates float all numerics
+    # (Column._numeric_values), and the empty sum is the int 0.
     table = make_table(g=["a", "a", "b"], v=[1, 2, 10])
     query = Query("t", group_by=("g",), aggregates=(
         Aggregate("sum", column="v"), Aggregate("min", column="v")))
     empty_sum = Query("t", aggregates=(Aggregate("sum", column="v"),)
                       ).where("v", "gt", 100)
-    with StdlibBackend() as stdlib, SqliteBackend() as sqlite:
-        stdlib.register_table("t", table)
-        sqlite.register_table("t", table)
-        for store in (stdlib, sqlite):
-            result = store.execute(query)
-            assert result["sum_v"].values == [3.0, 10.0]
-            assert all(type(v) is float for v in result["sum_v"].values)
-            assert all(type(v) is float for v in result["min_v"].values)
-            zero = store.execute(empty_sum)["sum_v"].values
-            assert zero == [0] and type(zero[0]) is int
+    with StdlibBackend() as store:
+        store.register_table("t", table)
+        result = store.execute(query)
+        assert result["sum_v"].values == [3.0, 10.0]
+        assert all(type(v) is float for v in result["sum_v"].values)
+        assert all(type(v) is float for v in result["min_v"].values)
+        zero = store.execute(empty_sum)["sum_v"].values
+        assert zero == [0] and type(zero[0]) is int
 
 
 # ----------------------------------------------------------------------
@@ -576,13 +596,12 @@ def test_experiment_query_group_by(stored_experiment):
         cells = [row["miss_rate"] for row in result.iter_rows()
                  if row["workload"] == workload]
         assert mean_miss == pytest.approx(sum(cells) / len(cells))
-    # wire form and the sqlite backend give the same bytes
-    assert result.query(table_query := Query.from_dict(Query(
+    # the wire form gives the same bytes
+    assert result.query(Query.from_dict(Query(
         "cells", group_by=("workload",),
         aggregates=(Aggregate("count", alias="n"),
                     Aggregate("mean", column="miss_rate", alias="mean_miss"))
     ).to_dict())).to_dict() == table.to_dict()
-    assert result.query(table_query, backend="sqlite").to_dict() == table.to_dict()
 
 
 def test_experiment_top_k(stored_experiment):
@@ -608,9 +627,6 @@ def test_experiment_self_join_has_zero_deltas(stored_experiment):
     assert joined["miss_rate_other"].values == joined["miss_rate"].values
     assert joined["miss_rate_delta"].values == [0.0] * len(result)
     assert joined["ipc_delta"].values == [0.0] * len(result)
-    sqlite_joined = result.join(result, metrics=("miss_rate", "ipc"),
-                                backend="sqlite")
-    assert sqlite_joined.to_dict() == joined.to_dict()
 
 
 def test_experiment_iter_rows_is_lazy_and_matches_rows(stored_experiment):
@@ -622,23 +638,23 @@ def test_experiment_iter_rows_is_lazy_and_matches_rows(stored_experiment):
 
 
 # ----------------------------------------------------------------------
-# Sieve: every stage lookup runs through the engine, on either backend
+# Sieve: every stage lookup runs through the engine
 # ----------------------------------------------------------------------
-def test_sieve_stages_identical_across_backends(session):
+def test_sieve_stage_lookups_match_table_scans(session):
     from repro.retrieval.sieve import SieveRetriever
 
-    from test_serve import INTENT_QUESTIONS
-
-    stdlib_sieve = SieveRetriever(session.database, analytics="stdlib")
-    sqlite_sieve = SieveRetriever(session.database, analytics="sqlite")
-    for question in INTENT_QUESTIONS:
-        via_stdlib = stdlib_sieve.retrieve_text(question)
-        via_sqlite = sqlite_sieve.retrieve_text(question)
-        assert via_stdlib.text == via_sqlite.text, question
-        assert via_stdlib.facts == via_sqlite.facts, question
-        assert via_stdlib.sources == via_sqlite.sources, question
-        assert via_stdlib.quality_label == via_sqlite.quality_label, question
-        assert via_stdlib.generated_code == via_sqlite.generated_code, question
+    sieve = SieveRetriever(session.database)
+    field = "accessed_address_reuse_distance_numeric"
+    for entry in session.database.entries.values():
+        table = entry.data_frame
+        pcs = table["program_counter"].values
+        for pc in (pcs[0], pcs[-1], "0xdead00"):
+            assert sieve._trace_count(table, program_counter=pc) == pcs.count(pc)
+            assert sieve._trace_slice(table, program_counter=pc).to_dict() \
+                == table.where(program_counter=pc).to_dict()
+        assert sieve._field_values(table, field) == [
+            value for value in table[field].values
+            if value is not None and value != -1]
 
 
 # ----------------------------------------------------------------------
@@ -659,9 +675,8 @@ def test_remote_query_matches_in_process(stored_experiment):
                 # a unique fingerprint prefix resolves server-side
                 remote = client.query(spec.fingerprint()[:10], query)
                 assert remote.to_dict() == expected.to_dict()
-                via_sqlite = client.query(spec.fingerprint(), query.to_dict(),
-                                          backend="sqlite")
-                assert via_sqlite.to_dict() == expected.to_dict()
+                via_wire = client.query(spec.fingerprint(), query.to_dict())
+                assert via_wire.to_dict() == expected.to_dict()
     finally:
         service.close()
 
@@ -676,6 +691,13 @@ def test_query_op_error_paths(stored_experiment):
         wire = {"op": "query", "fingerprint": spec.fingerprint(),
                 "query": Query("cells", limit=1).to_dict()}
         assert server.dispatch_line(json.dumps(wire).encode())["ok"] is True
+        # clients built before the executor became the only one always
+        # send "backend": "stdlib"; that value still answers
+        legacy = server.dispatch_line(
+            json.dumps({**wire, "backend": "stdlib"}).encode())
+        assert legacy["ok"] is True
+        assert legacy["result"] == server.dispatch_line(
+            json.dumps(wire).encode())["result"]
         for broken in [
             {**wire, "fingerprint": "feedbeef"},        # no such experiment
             {**wire, "fingerprint": ""},                # missing fingerprint
@@ -684,6 +706,8 @@ def test_query_op_error_paths(stored_experiment):
             # (any table name binds the cell table, so probe a bad column)
             {**wire, "query": {"table": "cells", "select": ["nope"]}},
             {**wire, "backend": "pandas"},              # unknown backend
+            {**wire, "backend": "sqlite"},              # removed backend
+            {**wire, "backend": None},                  # not a name
         ]:
             reply = server.dispatch_line(json.dumps(broken).encode())
             assert reply["ok"] is False, broken
@@ -709,9 +733,9 @@ def test_query_op_without_store_is_a_client_error(session):
 
 
 # ----------------------------------------------------------------------
-# CLI: experiment report --query / --format csv / --backend
+# CLI: experiment report --query / --format csv
 # ----------------------------------------------------------------------
-def test_cli_report_query_csv_identical_across_backends(stored_experiment, capsys):
+def test_cli_report_query_formats(stored_experiment, capsys):
     from repro.cli import main
 
     _session, spec, result, store_dir = stored_experiment
@@ -720,12 +744,9 @@ def test_cli_report_query_csv_identical_across_backends(stored_experiment, capsy
     base = ["experiment", "report", "--store-dir", store_dir,
             "--fingerprint", spec.fingerprint()[:8], "--query", dsl]
     assert main([*base, "--format", "csv"]) == 0
-    via_stdlib = capsys.readouterr().out
-    assert main([*base, "--format", "csv", "--backend", "sqlite"]) == 0
-    via_sqlite = capsys.readouterr().out
-    assert via_stdlib == via_sqlite  # byte-identical across backends
-    assert via_stdlib.splitlines()[0] == "workload,m,count"
-    assert via_stdlib == result.query(parse_query(dsl)).to_csv() + "\n"
+    csv = capsys.readouterr().out
+    assert csv.splitlines()[0] == "workload,m,count"
+    assert csv == result.query(parse_query(dsl)).to_csv() + "\n"
 
     assert main(base) == 0  # default fixed-width rendering
     rendered = capsys.readouterr().out
@@ -763,5 +784,7 @@ def test_cli_report_query_errors(stored_experiment, capsys):
     assert "bad --query" in capsys.readouterr().err
     assert main([*base, "--query", "select no_such_column"]) == 1
     assert "no_such_column" in capsys.readouterr().err
-    assert main([*base, "--query", "limit 1", "--backend", "pandas"]) == 1
-    assert "pandas" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exited:  # the option is gone
+        main([*base, "--query", "limit 1", "--backend", "stdlib"])
+    assert exited.value.code == 2
+    assert "--backend" in capsys.readouterr().err

@@ -58,22 +58,18 @@ def test_run_perf_suite_analytics_section():
     report = run_perf_suite(**SUITE_KWARGS)
     names = [timing["name"] for timing in report["timings"]]
     assert "analytics/stdlib_small" in names
-    assert "analytics/sqlite_spill_small" in names
-    assert "analytics/sqlite_small" in names
     assert "analytics/stdlib_large" in names
+    assert not [name for name in names if name.startswith("analytics/sqlite")]
     analytics = report["analytics"]
-    assert analytics["all_identical"] is True
     assert len(analytics["sizes"]) == 2
     for size in analytics["sizes"]:
-        assert size["identical"] is True
         assert size["stdlib_rows_per_second"] > 0
-        assert size["sqlite_rows_per_second"] > 0
     derived = report["derived"]
     largest = analytics["sizes"][-1]
     assert derived["analytics_stdlib_rows_per_s"] == largest["stdlib_rows_per_second"]
-    assert derived["analytics_sqlite_rows_per_s"] == largest["sqlite_rows_per_second"]
+    assert "analytics_sqlite_rows_per_s" not in derived
     rendered = format_report(report)
-    assert "analytics:" in rendered and "identical" in rendered
+    assert "analytics: stdlib" in rendered and "sqlite" not in rendered
 
 
 def test_run_perf_suite_keeps_named_store_dir(tmp_path):

@@ -96,3 +96,42 @@ def test_wants_sets_not_triggered_by_substrings():
     assert not PARSER.parse("What offsets are used by PC 0x400100?").wants_sets
     assert not PARSER.parse("How do the onsets of thrashing look?").wants_sets
     assert not PARSER.parse("What is the miss rate of lru on astar?").wants_sets
+
+
+# ----------------------------------------------------------------------
+# count questions keep their hit/miss qualifier
+# ----------------------------------------------------------------------
+def test_count_outcome_parsed_only_for_one_named_outcome():
+    assert PARSER.parse("How many misses for lru on astar?").outcome == "miss"
+    assert PARSER.parse("How many hits does lbm get under lru?").outcome == "hit"
+    for question in ["How many accesses does astar make under lru?",
+                     "How many hits and misses for lru on astar?",
+                     "What is the miss rate of lru on astar?"]:
+        assert PARSER.parse(question).outcome is None, question
+    intent = PARSER.parse("How many misses for lru on astar?")
+    assert "outcome=miss" in intent.describe()
+
+
+def test_ranger_count_filters_on_named_outcome(fresh_cache):
+    from repro import CacheMind, TINY_CONFIG
+    from repro.retrieval.ranger import RangerRetriever
+
+    session = CacheMind(workloads=["astar"], policies=["lru"],
+                        num_accesses=600, config=TINY_CONFIG,
+                        simulation_cache=fresh_cache)
+    stats = session.database.get("astar", "lru").result.llc_stats
+    assert (stats.accesses, stats.misses, stats.hits) == (600, 402, 198)
+    ranger = RangerRetriever(session.database)
+
+    def grounded_count(question):
+        intent = session.parser.parse(question)
+        execution = ranger.executor.execute(ranger.generate_code(intent))
+        assert execution.success, execution.error
+        return execution.payload["count"]
+
+    assert grounded_count("How many misses for lru on astar?") == stats.misses
+    assert grounded_count("How many misses does astar incur under lru?") \
+        == stats.misses
+    assert grounded_count("How many hits for lru on astar?") == stats.hits
+    assert grounded_count("How many accesses does astar make under lru?") \
+        == stats.accesses
