@@ -663,29 +663,20 @@ class ExperimentRunner:
     so parallelism, memoisation and persistence compose exactly as in the
     session database build.
 
-    ``strategy`` picks how serial cache misses execute: ``"auto"``
-    (default) routes every group of >= 2 misses sharing a trace through the
-    lockstep :class:`~repro.sim.batch.BatchSimulator` (one trace pass, many
-    rollouts) and keeps per-cell replay for singletons; ``"batch"`` forces
-    the batch kernel even for singletons; ``"single"`` forces per-cell
-    replay everywhere (the equivalence oracle).  Either way results install
+    Serial cache misses that share a trace run through one
+    :class:`~repro.sim.batch.BatchSimulator` (one set of shared trace
+    columns, many rollouts), a single miss included.  Results install
     through ``SimulationCache.put_result/put_entry``, so warm-store
     semantics are unchanged and re-runs simulate zero cells.
     """
 
-    STRATEGIES = ("auto", "batch", "single")
-
     def __init__(self, simulation_cache=None, jobs: int = 1,
                  executor: str = "auto",
-                 max_records: Optional[int] = None,
-                 strategy: str = "auto"):
-        if strategy not in self.STRATEGIES:
-            raise ValueError(f"strategy must be one of {self.STRATEGIES}")
+                 max_records: Optional[int] = None):
         self.simulation_cache = simulation_cache
         self.jobs = max(1, int(jobs))
         self.executor = executor
         self.max_records = max_records
-        self.strategy = strategy
 
     # ------------------------------------------------------------------
     def _cache(self):
@@ -775,8 +766,8 @@ class ExperimentRunner:
         outputs: Dict[Tuple, Dict[str, Any]] = {}
         pending: Dict[Tuple[str, str],
                       List[Tuple[PlannedJob, Any, str]]] = {}
-        # Serial cache misses, grouped by the trace they replay: >= 2
-        # cells sharing a trace advance in one lockstep batch pass.
+        # Serial cache misses, grouped by the trace they replay: the cells
+        # sharing a trace run through one batch.
         serial_pending: Dict[Tuple[str, int, int],
                              List[Tuple[PlannedJob, Any, str,
                                         SimulationEngine]]] = {}
@@ -802,8 +793,6 @@ class ExperimentRunner:
                 engine = SimulationEngine(
                     config=config_map[job.config_name], mode=spec.mode,
                     max_records=self.max_records, detail=job.detail)
-                # Oracle cells share one reuse precompute per trace.
-                engine.reuse_cache = cache.reuse_for
                 engines[group] = engine
             trace, description = cache.get_trace(
                 job.workload, job.num_accesses, job.seed)
@@ -820,7 +809,7 @@ class ExperimentRunner:
                         (job, trace, description))
                 else:
                     # Serial miss: deferred so misses sharing a trace can
-                    # batch into one lockstep pass below.
+                    # run through one batch below.
                     serial_pending.setdefault(
                         (job.workload, job.num_accesses, job.seed),
                         []).append((job, trace, description, engine))
@@ -835,21 +824,17 @@ class ExperimentRunner:
 
         for group_pending in serial_pending.values():
             shared_trace = group_pending[0][1]
-            use_batch = (self.strategy == "batch"
-                         or (self.strategy == "auto"
-                             and len(group_pending) >= 2))
-            if use_batch:
-                tally["batch_groups"] += 1
-                tally["batch_cells"] += len(group_pending)
-                rollouts = [RolloutSpec(policy=job.policy,
-                                        config=config_map[job.config_name],
-                                        mode=spec.mode, detail=job.detail,
-                                        max_records=self.max_records)
-                            for job, _trace, _desc, _engine in group_pending]
-                results = BatchSimulator(shared_trace).run(rollouts)
-            else:
-                results = [engine.run(trace, job.policy)
-                           for job, trace, _desc, engine in group_pending]
+            tally["batch_groups"] += 1
+            tally["batch_cells"] += len(group_pending)
+            rollouts = [RolloutSpec(policy=job.policy,
+                                    config=config_map[job.config_name],
+                                    mode=spec.mode, detail=job.detail,
+                                    max_records=self.max_records)
+                        for job, _trace, _desc, _engine in group_pending]
+            # Oracle cells share one reuse precompute per trace, across
+            # batches and runs.
+            results = BatchSimulator(shared_trace,
+                                     cache.reuse_for).run(rollouts)
             # Install via put_*, which persists to the store exactly as
             # get_entry's miss path would.
             for (job, trace, description, engine), result in zip(
@@ -958,11 +943,9 @@ def run_experiment(spec: Union[ExperimentSpec, Dict[str, Any]],
                    simulation_cache=None, jobs: int = 1,
                    executor: str = "auto",
                    max_records: Optional[int] = None,
-                   strategy: str = "auto",
                    progress: Optional[ProgressCallback] = None
                    ) -> ExperimentResult:
     """Module-level convenience: compile and execute one spec."""
     runner = ExperimentRunner(simulation_cache=simulation_cache, jobs=jobs,
-                              executor=executor, max_records=max_records,
-                              strategy=strategy)
+                              executor=executor, max_records=max_records)
     return runner.run(spec, progress=progress)

@@ -97,6 +97,8 @@ class QueryIntent:
     #: the outcome a count question is restricted to ("hit" or "miss"),
     #: set when it names exactly one of "hits"/"misses".
     outcome: Optional[str] = None
+    #: the cache set a count question is restricted to ("... in set 3").
+    set_index: Optional[int] = None
 
     @property
     def pc(self) -> Optional[str]:
@@ -133,6 +135,8 @@ class QueryIntent:
             parts.append(f"comparison={self.comparison}")
         if self.outcome:
             parts.append(f"outcome={self.outcome}")
+        if self.set_index is not None:
+            parts.append(f"set={self.set_index}")
         return " ".join(parts)
 
 
@@ -316,6 +320,10 @@ class QueryParser:
         intent.wants_pc_list = "list" in lowered and "pc" in lowered
 
         intent.question_type = self.classify(question, intent)
-        if intent.question_type == COUNT and names_hits != names_misses:
-            intent.outcome = "hit" if names_hits else "miss"
+        if intent.question_type == COUNT:
+            if names_hits != names_misses:
+                intent.outcome = "hit" if names_hits else "miss"
+            named_set = re.search(r"\bset\s+(\d+)\b", lowered)
+            if named_set is not None:
+                intent.set_index = int(named_set.group(1))
         return intent

@@ -451,11 +451,12 @@ def run_perf_suite(quick: bool = False,
         "warm_zero_simulations": warm_counters.get("simulations_run") == 0,
     }
 
-    # --- batch rollouts: one trace pass, many lockstep cells --------------
+    # --- batch rollouts: one trace, many cells -----------------------------
     # Grid sizes 1/4/9/16 over (native policy x LLC-scaled config) cells
-    # sharing one trace, each measured twice: per-cell single replay vs the
-    # lockstep BatchSimulator.  Results are checked identical before the
-    # timed runs, so the speedup is for byte-equal work.
+    # sharing one trace, each measured twice: per-cell stats engine runs
+    # (each a fresh single-rollout kernel, no shared precompute) vs one
+    # BatchSimulator sharing its precomputes.  Results are checked
+    # identical before the timed runs, so the speedup is for equal work.
     batch_trace = traces[workloads[0]]
     batch_configs = [config]
     for scale in (2, 4, 8):

@@ -164,6 +164,8 @@ class RangerCodeGenerator:
             filters.append(f"memory_address={address!r}")
         if intent.outcome is not None:
             filters.append(f"is_miss={int(intent.outcome == 'miss')}")
+        if intent.set_index is not None:
+            filters.append(f"cache_set_id={intent.set_index}")
         filter_expr = ", ".join(filters)
         where_expr = f"df.where({filter_expr})" if filter_expr else "df"
         body = f"""

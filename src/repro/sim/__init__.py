@@ -8,6 +8,11 @@ configurable cache hierarchy and produces:
 * per-level hit/miss statistics,
 * an analytic cycle count / IPC estimate used by the actionable-insight use
   cases (bypass, Mockingjay, software prefetching).
+
+Every stats replay runs through one core (:mod:`repro.sim.batch`): a
+rollout emits a per-access hits column, the LLC counters are reductions
+over it, and :func:`~repro.sim.cpu.timing_from_levels` derives the timing
+from the service-level column — at full detail too.
 """
 
 from repro.sim.config import (
@@ -24,13 +29,12 @@ from repro.sim.cache import (
     Cache,
     CacheLine,
     CacheStats,
+)
+from repro.sim.cpu import TimingResult, timing_from_levels
+from repro.sim.engine import (
     DETAIL_FULL,
     DETAIL_LEVELS,
     DETAIL_STATS,
-)
-from repro.sim.cpu import CPUModel, TimingResult
-from repro.sim.hierarchy import CacheHierarchy, HierarchyResult
-from repro.sim.engine import (
     PreparedReplay,
     SimulationEngine,
     SimulationResult,
@@ -50,7 +54,6 @@ from repro.sim.parallel import (
     default_jobs,
     planned_strategy,
 )
-from repro.sim.prefetch import NextLinePrefetcher, StridePrefetcher
 
 __all__ = [
     "CacheConfig",
@@ -67,10 +70,8 @@ __all__ = [
     "DETAIL_FULL",
     "DETAIL_LEVELS",
     "DETAIL_STATS",
-    "CPUModel",
     "TimingResult",
-    "CacheHierarchy",
-    "HierarchyResult",
+    "timing_from_levels",
     "SimulationEngine",
     "SimulationResult",
     "PreparedReplay",
@@ -85,6 +86,4 @@ __all__ = [
     "SimulationJob",
     "default_jobs",
     "planned_strategy",
-    "NextLinePrefetcher",
-    "StridePrefetcher",
 ]

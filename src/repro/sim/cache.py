@@ -6,13 +6,11 @@ Two access paths are provided:
   and per-line eviction scores into an :class:`AccessOutcome` so the trace
   database can store the paper's ``current_cache_lines`` /
   ``cache_line_eviction_scores`` columns.
-* :meth:`Cache.access_fast` — the stats-only path used when the caller only
-  needs aggregate counters (``detail="stats"``).  It skips outcome objects,
-  resident-line and score snapshots and the per-access ``eviction_scores``
-  callback (every built-in policy's ``eviction_scores`` is a pure read, so
-  skipping it cannot change behaviour), and when the policy is plain LRU
-  it bypasses the policy callback machinery entirely, driving recency
-  through the per-set tag dict.
+* :meth:`Cache.access_fast` — the stats-only path the replay core's
+  generic loop uses for policies without a native kernel.  It skips outcome
+  objects, resident-line and score snapshots and the per-access
+  ``eviction_scores`` callback (every built-in policy's ``eviction_scores``
+  is a pure read, so skipping it cannot change behaviour).
 
 Both paths share one tag dictionary per set (block address -> way), so
 residency lookups are O(1) instead of a linear way scan, both hand the live
@@ -35,11 +33,6 @@ from repro.policies.base import (
 )
 from repro.policies.basic import LRUPolicy
 from repro.sim.config import CacheConfig
-
-#: Detail levels accepted by :class:`Cache` and the simulation engine.
-DETAIL_FULL = "full"
-DETAIL_STATS = "stats"
-DETAIL_LEVELS = (DETAIL_FULL, DETAIL_STATS)
 
 
 @dataclass
@@ -134,17 +127,13 @@ class Cache:
 
     def __init__(self, config: CacheConfig,
                  policy: Optional[ReplacementPolicy] = None,
-                 classify_misses: bool = False,
-                 detail: str = DETAIL_FULL):
-        if detail not in DETAIL_LEVELS:
-            raise ValueError(f"detail must be one of {DETAIL_LEVELS}")
+                 classify_misses: bool = False):
         self.config = config
         self.policy = policy if policy is not None else LRUPolicy()
         self.num_sets = config.num_sets
         self.num_ways = config.num_ways
         self.block_bytes = config.block_bytes
         self.classify_misses = classify_misses
-        self.detail = detail
         self.policy.initialize(self.num_sets, self.num_ways)
         # Power-of-two geometries (every bundled config) use shift/mask
         # address math; odd geometries fall back to div/mod.
@@ -158,13 +147,8 @@ class Cache:
         self.sets: List[List[Optional[CacheLine]]] = [
             [None] * self.num_ways for _ in range(self.num_sets)
         ]
-        # tags[set_index]: block_address -> way.  On the fast-LRU path the
-        # dict's insertion order doubles as recency order (hits reinsert).
+        # tags[set_index]: block_address -> way.
         self._tags: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
-        # Stats-only + plain LRU: skip the policy callbacks entirely.  Exact
-        # type check — an LRU subclass may override hooks we would bypass.
-        self._fast_lru = (detail == DETAIL_STATS
-                          and type(self.policy) is LRUPolicy)
         self.stats = CacheStats.for_sets(self.num_sets)
         # For miss classification: blocks ever seen, and a fully-associative
         # LRU "shadow" cache of the same capacity (capacity-vs-conflict).
@@ -348,8 +332,8 @@ class Cache:
         Behaviourally identical to :meth:`access` (same hit/miss/eviction/
         bypass decisions and statistics) but skips every per-access
         allocation the full path makes for the trace database: no
-        :class:`AccessOutcome`, no resident-line snapshot, no eviction-score
-        callback, and — for plain LRU — no policy callbacks at all.
+        :class:`AccessOutcome`, no resident-line snapshot and no
+        eviction-score callback.
         """
         block_shift = self._block_shift
         if block_shift is not None:
@@ -367,7 +351,6 @@ class Cache:
         stats.per_set_accesses[set_index] += 1
         tags = self._tags[set_index]
         cache_set = self.sets[set_index]
-        fast_lru = self._fast_lru
 
         way = tags.get(block_address)
         if way is not None:
@@ -379,16 +362,11 @@ class Cache:
             line.next_use = next_use
             if is_write:
                 line.dirty = True
-            if fast_lru:
-                # Reinsert to make this block the most recent in tag order.
-                del tags[block_address]
-                tags[block_address] = way
-            else:
-                # The live line doubles as the view (same attributes).
-                self.policy.on_hit(set_index, line, PolicyAccess(
-                    pc=pc, block_address=block_address, is_write=is_write,
-                    access_index=access_index, next_use=next_use,
-                    is_prefetch=is_prefetch))
+            # The live line doubles as the view (same attributes).
+            self.policy.on_hit(set_index, line, PolicyAccess(
+                pc=pc, block_address=block_address, is_write=is_write,
+                access_index=access_index, next_use=next_use,
+                is_prefetch=is_prefetch))
             if self.classify_misses:
                 self._update_shadow(block_address)
             return True
@@ -404,26 +382,6 @@ class Cache:
             elif miss_type == "Conflict":
                 stats.conflict_misses += 1
             self._update_shadow(block_address)
-
-        if fast_lru:
-            free_way = None
-            if len(tags) < self.num_ways:
-                for candidate_way, candidate in enumerate(cache_set):
-                    if candidate is None:
-                        free_way = candidate_way
-                        break
-            if free_way is None:
-                # Oldest tag-dict entry == least recently touched block,
-                # exactly the line generic LRU picks by min(last_access).
-                victim_block = next(iter(tags))
-                free_way = tags.pop(victim_block)
-                stats.evictions += 1
-            cache_set[free_way] = CacheLine(
-                block_address=block_address, pc=pc, inserted_at=access_index,
-                last_access=access_index, next_use=next_use, dirty=is_write,
-                way=free_way)
-            tags[block_address] = free_way
-            return False
 
         policy_access = PolicyAccess(
             pc=pc, block_address=block_address, is_write=is_write,

@@ -24,11 +24,15 @@ Two detail levels are supported:
 * ``"full"`` (default) — one :class:`AccessRecord` per LLC access, with
   resident-line and eviction-score snapshots, source context and the
   wrong-eviction count.  This is what the trace database consumes.
-* ``"stats"`` — aggregate statistics and timing only.  The replay skips
-  record construction, context annotation, per-access snapshot lists and —
-  unless the policy declares ``requires_future`` — the whole reuse-distance
-  precomputation, and runs a single fused simulate+timing loop.  Hit/miss/
-  eviction/bypass counts, per-set rates and IPC are identical to a full run.
+* ``"stats"`` — aggregate statistics and timing only.  :meth:`run`
+  delegates to the replay core's per-rollout method
+  (:meth:`~repro.sim.batch.BatchSimulator.rollout`), which skips records,
+  context and snapshots.  Hit/miss/eviction/bypass counts, per-set rates
+  and IPC are identical to a full run.
+
+Both detail levels end the same way: the replay's per-access hits column
+becomes a service-level column, and the one
+:func:`~repro.sim.cpu.timing_from_levels` turns it into cycles and IPC.
 """
 
 from __future__ import annotations
@@ -39,30 +43,21 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.policies.base import NEVER, ReplacementPolicy, get_policy
-from repro.sim.cache import (
-    Cache,
-    CacheStats,
-    DETAIL_FULL,
-    DETAIL_LEVELS,
-    DETAIL_STATS,
-)
+from repro.sim.cache import Cache, CacheStats
 from repro.sim.config import HierarchyConfig, SMALL_CONFIG
-from repro.sim.cpu import (
-    CPUModel,
-    LEVEL_DRAM,
-    LEVEL_L1,
-    LEVEL_L2,
-    LEVEL_LLC,
-    TimingResult,
-)
-from repro.policies.basic import LRUPolicy
+from repro.sim.cpu import TimingResult, service_levels, timing_from_levels
 from repro.tracedb.schema import (
     AccessLog,
     AccessRecord,
     MISS_TYPE_CODES,
     NEVER_REUSED,
 )
-from repro.workloads.trace import FLAG_PREFETCH, FLAG_WRITE, MemoryTrace
+from repro.workloads.trace import MemoryTrace
+
+#: Detail levels of a replay (this engine and the replay core).
+DETAIL_FULL = "full"
+DETAIL_STATS = "stats"
+DETAIL_LEVELS = (DETAIL_FULL, DETAIL_STATS)
 
 
 @dataclass
@@ -131,9 +126,9 @@ def compute_full_reuse(addresses: Sequence[int],
 class PreparedReplay:
     """Precomputed replay inputs shared across rollouts of one trace.
 
-    The batch kernel computes the LLC stream (hierarchy filtering), the
+    The batch computes the LLC stream (hierarchy filtering), the
     upper-level service map and the reuse arrays once per (trace, geometry)
-    group and hands the same objects to every rollout via
+    group and hands the same objects to every full-detail rollout via
     :meth:`SimulationEngine.run`; all fields are treated as read-only.
     ``None`` fields fall back to the engine's own per-run computation.
     """
@@ -248,21 +243,32 @@ class SimulationEngine:
         """Simulate ``trace`` with ``policy`` at the LLC.
 
         ``policy`` may be a :class:`ReplacementPolicy` instance or a
-        registered policy name.  ``prepared`` optionally supplies
-        precomputed (shared, read-only) replay inputs — the batch kernel's
-        way of amortising stream filtering and reuse precomputation across
-        many rollouts; a ``None`` field falls back to local computation, so
-        results are identical either way.
+        registered policy name.  At stats detail the replay core runs the
+        rollout (a name may take a native kernel).  At full detail
+        ``prepared`` optionally supplies precomputed (shared, read-only)
+        replay inputs — the batch's way of amortising stream filtering and
+        reuse precomputation across many rollouts; a ``None`` field falls
+        back to local computation, so results are identical either way.
         """
+        # Lazy: the replay core imports this module.
+        from repro.sim import batch
+        if self.detail == DETAIL_STATS:
+            instance = get_policy(policy) if isinstance(policy, str) else policy
+            spec = batch.RolloutSpec(
+                getattr(instance, "name", type(instance).__name__),
+                self.config, self.mode)
+            # A name may take a native kernel; an instance keeps its own
+            # parameters through the generic loop.
+            return batch.BatchSimulator(trace, self.reuse_cache).rollout(
+                spec, None if isinstance(policy, str) else instance)
         if isinstance(policy, str):
             policy = get_policy(policy)
-        if self.detail == DETAIL_STATS:
-            return self._run_stats(trace, policy, prepared)
         if prepared is not None and prepared.llc_stream is not None:
             llc_stream = prepared.llc_stream
             upper_levels = prepared.upper_levels or {}
         else:
-            llc_stream, upper_levels = self._build_llc_stream(trace)
+            llc_stream, upper_levels = batch.llc_stream(trace, self.config,
+                                                        self.mode)
         reuse = prepared.reuse if prepared is not None else None
         if reuse is None or reuse.prev_use is None:
             if self.mode == "llc_only" and self.reuse_cache is not None:
@@ -277,49 +283,7 @@ class SimulationEngine:
                                 reuse.next_use, reuse.prev_use)
 
     # ------------------------------------------------------------------
-    # pass 1: determine which accesses reach the LLC
-    # ------------------------------------------------------------------
-    def _build_llc_stream(self, trace: MemoryTrace
-                          ) -> Tuple[List[Tuple[int, int, int, bool, bool]],
-                                     Dict[int, str]]:
-        """Return the LLC-bound accesses and the service level of the rest.
-
-        The first element is a list of ``(trace_index, pc, address, is_write,
-        is_prefetch)`` tuples (decoded straight from the trace columns) that
-        reach the LLC; the second maps every other trace index to the level
-        (L1 or L2) that serviced it.
-        """
-        pcs, addresses, flags, _instr = trace.columns()
-        if self.mode == "llc_only":
-            return [(index, pc, address, bool(flag & FLAG_WRITE),
-                     bool(flag & FLAG_PREFETCH))
-                    for index, (pc, address, flag)
-                    in enumerate(zip(pcs, addresses, flags))], {}
-
-        # The upper levels are always LRU, so the stats-only fast path is
-        # behaviourally identical and filtering needs no outcome details.
-        l1d = Cache(self.config.l1d, LRUPolicy(), detail=DETAIL_STATS)
-        l2 = Cache(self.config.l2, LRUPolicy(), detail=DETAIL_STATS)
-        l1_access = l1d.access_fast
-        l2_access = l2.access_fast
-        llc_stream: List[Tuple[int, int, int, bool, bool]] = []
-        upper_levels: Dict[int, str] = {}
-        for index, (pc, address, flag) in enumerate(zip(pcs, addresses, flags)):
-            is_write = bool(flag & FLAG_WRITE)
-            is_prefetch = bool(flag & FLAG_PREFETCH)
-            if l1_access(pc, address, is_write, index,
-                         is_prefetch=is_prefetch):
-                upper_levels[index] = LEVEL_L1
-                continue
-            if l2_access(pc, address, is_write, index,
-                         is_prefetch=is_prefetch):
-                upper_levels[index] = LEVEL_L2
-                continue
-            llc_stream.append((index, pc, address, is_write, is_prefetch))
-        return llc_stream, upper_levels
-
-    # ------------------------------------------------------------------
-    # pass 2 support: reuse-distance precomputation over the LLC stream
+    # reuse-distance lookups over the LLC stream
     # ------------------------------------------------------------------
     def _next_use_of_block(self, block: int, position: int) -> int:
         """Next LLC-stream position at which ``block`` is accessed after
@@ -333,20 +297,19 @@ class SimulationEngine:
         return positions[index]
 
     # ------------------------------------------------------------------
-    # pass 2: replay the LLC with the policy under study
+    # the capture replay: the LLC with the policy under study
     # ------------------------------------------------------------------
     def _replay_llc(self, trace: MemoryTrace, policy: ReplacementPolicy,
                     llc_stream: List[Tuple[int, int, int, bool, bool]],
                     upper_levels: Dict[int, str],
                     next_use: List[int], prev_use: List[int]) -> SimulationResult:
         llc = Cache(self.config.llc, policy, classify_misses=True)
-        cpu = CPUModel(self.config)
         block_bytes = self.config.llc.block_bytes
         binary = trace.binary
 
         log = AccessLog()
         history: List[Tuple[int, int]] = []  # (block, pc) of recent LLC accesses
-        llc_levels: Dict[int, str] = {}
+        hits = bytearray(len(llc_stream))
         wrong_evictions = 0
         annotate = self.annotate_context and binary is not None
         # Source/assembly context is a pure function of the PC, so it is
@@ -354,14 +317,15 @@ class SimulationEngine:
         context_by_pc: Dict[int, Tuple[str, str, str]] = {}
         empty_context = ("", "", "")
 
-        for position, (trace_index, pc, address, is_write,
+        for position, (_trace_index, pc, address, is_write,
                        is_prefetch) in enumerate(llc_stream):
             block = address // block_bytes
             outcome = llc.access(pc, address, is_write,
                                  access_index=position,
                                  next_use=next_use[position],
                                  is_prefetch=is_prefetch)
-            llc_levels[trace_index] = LEVEL_LLC if outcome.hit else LEVEL_DRAM
+            if outcome.hit:
+                hits[position] = 1
 
             accessed_rd = (NEVER_REUSED if next_use[position] >= NEVER
                           else next_use[position] - position)
@@ -401,21 +365,9 @@ class SimulationEngine:
             if len(history) > 4 * self.history_window:
                 del history[: 2 * self.history_window]
 
-        # Timing: walk the whole trace once — straight over the raw columns —
-        # using the recorded service levels.
-        _pcs, _addresses, trace_flags, trace_instr = trace.columns()
-        for trace_index, (flag, gap) in enumerate(zip(trace_flags, trace_instr)):
-            is_prefetch = bool(flag & FLAG_PREFETCH)
-            if not is_prefetch:
-                cpu.retire(gap + 1)
-            level = upper_levels.get(trace_index) or llc_levels.get(trace_index)
-            if level is None:
-                # llc_only mode guarantees an LLC level for every access; this
-                # branch only guards against malformed traces.
-                level = LEVEL_DRAM
-            cpu.memory_access(level, is_write=bool(flag & FLAG_WRITE),
-                              is_prefetch=is_prefetch)
-
+        _pcs, _addresses, flags, instr = trace.columns()
+        levels = service_levels(len(trace), upper_levels,
+                                (entry[0] for entry in llc_stream), hits)
         result = SimulationResult(
             workload=trace.workload,
             policy_name=getattr(policy, "name", type(policy).__name__),
@@ -426,176 +378,11 @@ class SimulationEngine:
             log=log,
             llc_stats=llc.stats,
             level_stats={"llc": llc.stats},
-            timing=cpu.finish(),
+            timing=timing_from_levels(self.config, flags, instr, levels),
             wrong_evictions=wrong_evictions,
             binary=binary,
         )
         return result
-
-    # ------------------------------------------------------------------
-    # stats-only replay
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _next_use_sequence(addresses: Sequence[int],
-                           block_bytes: int) -> List[int]:
-        """Back-compat alias for :func:`compute_next_use` (only computed at
-        all when the policy declares ``requires_future``)."""
-        return compute_next_use(addresses, block_bytes)
-
-    def _run_stats(self, trace: MemoryTrace, policy: ReplacementPolicy,
-                   prepared: Optional[PreparedReplay] = None
-                   ) -> SimulationResult:
-        """Aggregate-only replay: no records, snapshots or context lookups."""
-        config = self.config
-        llc = Cache(config.llc, policy, classify_misses=True,
-                    detail=DETAIL_STATS)
-        requires_future = bool(getattr(policy, "requires_future", False))
-        if self.mode == "llc_only":
-            llc_stats, timing = self._replay_stats_llc_only(
-                trace, llc, requires_future, prepared)
-        else:
-            llc_stats, timing = self._replay_stats_hierarchy(
-                trace, llc, requires_future, prepared)
-        return SimulationResult(
-            workload=trace.workload,
-            policy_name=getattr(policy, "name", type(policy).__name__),
-            policy_description=policy.describe(),
-            config=config,
-            mode=self.mode,
-            detail=self.detail,
-            llc_stats=llc_stats,
-            level_stats={"llc": llc_stats},
-            timing=timing,
-            binary=trace.binary,
-        )
-
-    def _replay_stats_llc_only(self, trace: MemoryTrace, llc: Cache,
-                               requires_future: bool,
-                               prepared: Optional[PreparedReplay] = None
-                               ) -> Tuple[CacheStats, TimingResult]:
-        """Fused simulate+timing loop over the raw trace columns.
-
-        Accumulates the analytic timing model inline in the same order as
-        :class:`CPUModel`, so IPC/cycles match the full-detail path exactly.
-        """
-        config = self.config
-        pcs, addresses, flags, instr = trace.columns()
-        next_use = None
-        if requires_future:
-            if prepared is not None and prepared.reuse is not None:
-                next_use = prepared.reuse.next_use
-            elif self.reuse_cache is not None:
-                next_use = self.reuse_cache(
-                    trace, config.llc.block_bytes, False).next_use
-            else:
-                next_use = compute_next_use(addresses,
-                                            config.llc.block_bytes)
-
-        # Hoisted loop state: one bound method, precomputed stall constants.
-        access_fast = llc.access_fast
-        retire_width = config.core.retire_width
-        overlap = 1.0 - config.core.overlap_factor
-        to_llc = float(config.l1d.latency_cycles + config.l2.latency_cycles
-                       + config.llc.latency_cycles)
-        to_dram = to_llc + config.dram.access_latency_cycles
-        llc_stall = to_llc * overlap
-        dram_stall = to_dram * overlap
-
-        instructions = 0
-        base_cycles = 0.0
-        stall_cycles = 0.0
-        llc_stall_total = 0.0
-        dram_stall_total = 0.0
-        llc_count = dram_count = 0
-        llc_stall_events = dram_stall_events = 0
-
-        for position, (pc, address, flag, gap) in enumerate(
-                zip(pcs, addresses, flags, instr)):
-            is_prefetch = bool(flag & FLAG_PREFETCH)
-            is_write = bool(flag & FLAG_WRITE)
-            if next_use is None:
-                hit = access_fast(pc, address, is_write,
-                                  position, NEVER, is_prefetch)
-            else:
-                hit = access_fast(pc, address, is_write,
-                                  position, next_use[position], is_prefetch)
-            if not is_prefetch:
-                retired = gap + 1
-                instructions += retired
-                base_cycles += retired / retire_width
-            if hit:
-                llc_count += 1
-                if not (is_write or is_prefetch):
-                    stall_cycles += llc_stall
-                    llc_stall_total += llc_stall
-                    llc_stall_events += 1
-            else:
-                dram_count += 1
-                if not (is_write or is_prefetch):
-                    stall_cycles += dram_stall
-                    dram_stall_total += dram_stall
-                    dram_stall_events += 1
-
-        timing = TimingResult(
-            instructions=instructions,
-            base_cycles=base_cycles,
-            stall_cycles=stall_cycles,
-        )
-        if llc_count:
-            timing.accesses_by_level[LEVEL_LLC] = llc_count
-        if dram_count:
-            timing.accesses_by_level[LEVEL_DRAM] = dram_count
-        if llc_stall_events:
-            timing.stalls_by_level[LEVEL_LLC] = llc_stall_total
-        if dram_stall_events:
-            timing.stalls_by_level[LEVEL_DRAM] = dram_stall_total
-        return llc.stats, timing
-
-    def _replay_stats_hierarchy(self, trace: MemoryTrace, llc: Cache,
-                                requires_future: bool,
-                                prepared: Optional[PreparedReplay] = None
-                                ) -> Tuple[CacheStats, TimingResult]:
-        """Stats-only hierarchy replay: filter, replay LLC, one timing walk."""
-        if prepared is not None and prepared.llc_stream is not None:
-            llc_stream = prepared.llc_stream
-            upper_levels = prepared.upper_levels or {}
-        else:
-            llc_stream, upper_levels = self._build_llc_stream(trace)
-        block_bytes = self.config.llc.block_bytes
-        next_use = None
-        if requires_future:
-            if prepared is not None and prepared.reuse is not None:
-                next_use = prepared.reuse.next_use
-            else:
-                next_use = compute_next_use(
-                    [address for _i, _pc, address, _w, _p in llc_stream],
-                    block_bytes)
-
-        access_fast = llc.access_fast
-        llc_hits: List[bool] = []
-        for position, (_trace_index, pc, address, is_write,
-                       is_prefetch) in enumerate(llc_stream):
-            llc_hits.append(access_fast(
-                pc, address, is_write, position,
-                NEVER if next_use is None else next_use[position],
-                is_prefetch))
-
-        # The filtered stream is sparse relative to the trace, so the timing
-        # walk reuses CPUModel rather than a fused loop (identical numbers).
-        cpu = CPUModel(self.config)
-        llc_position = 0
-        _pcs, _addresses, trace_flags, trace_instr = trace.columns()
-        for trace_index, (flag, gap) in enumerate(zip(trace_flags, trace_instr)):
-            is_prefetch = bool(flag & FLAG_PREFETCH)
-            if not is_prefetch:
-                cpu.retire(gap + 1)
-            level = upper_levels.get(trace_index)
-            if level is None:
-                level = LEVEL_LLC if llc_hits[llc_position] else LEVEL_DRAM
-                llc_position += 1
-            cpu.memory_access(level, is_write=bool(flag & FLAG_WRITE),
-                              is_prefetch=is_prefetch)
-        return llc.stats, cpu.finish()
 
 
 def simulate(trace: MemoryTrace, policy, config: HierarchyConfig = SMALL_CONFIG,

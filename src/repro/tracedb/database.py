@@ -28,7 +28,6 @@ from collections.abc import Mapping
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import UnknownNameError
-from repro.policies.base import get_policy
 from repro.sim.config import HierarchyConfig, SMALL_CONFIG
 from repro.sim.batch import BatchSimulator, RolloutSpec
 from repro.sim.engine import SimulationEngine, SimulationResult
@@ -383,22 +382,17 @@ def build_database(workloads: Sequence[str] = DEFAULT_WORKLOADS,
         return database
 
     # Serial build: policies pending for the same workload replay its trace
-    # in one lockstep batch pass (order preserved: pending is workload-major
-    # with policies inner, and so is this flush).
+    # through one batch (order preserved: pending is workload-major with
+    # policies inner, and so is this flush).
     by_workload: Dict[str, List[str]] = {}
     for workload_name, policy_name in pending:
         by_workload.setdefault(workload_name, []).append(policy_name)
     for workload_name, policy_names in by_workload.items():
-        trace = trace_map[workload_name]
-        if len(policy_names) >= 2:
-            rollouts = [RolloutSpec(policy=policy_name, config=config,
-                                    mode=mode, detail=engine.detail,
-                                    max_records=max_records)
-                        for policy_name in policy_names]
-            results = BatchSimulator(trace).run(rollouts)
-        else:
-            results = [engine.run(trace, get_policy(policy_name))
-                       for policy_name in policy_names]
+        rollouts = [RolloutSpec(policy=policy_name, config=config,
+                                mode=mode, detail=engine.detail,
+                                max_records=max_records)
+                    for policy_name in policy_names]
+        results = BatchSimulator(trace_map[workload_name]).run(rollouts)
         for policy_name, result in zip(policy_names, results):
             entry = database.add_result(
                 result, workload_description=description_map[workload_name])

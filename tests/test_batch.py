@@ -1,13 +1,16 @@
-"""BatchSimulator: lockstep multi-rollout replay must be byte-identical.
+"""BatchSimulator: every rollout must match the full-detail callback replay.
 
-The batch kernel is an execution strategy, not a new simulator: every
-rollout — native lockstep kernel or engine-with-shared-precomputes — must
-produce exactly the result a standalone ``SimulationEngine.run`` would,
-down to float accumulation order in the timing model and every column of
-the full-detail access log.  These tests pin that contract across the
-policy x workload x mode x detail matrix, plus the wiring that selects the
-strategy (ExperimentRunner, build_database, ParallelSimulator fallback)
-and the perf-report comparison tooling that rides along.
+``SimulationEngine(detail="stats")`` runs through the batch's own
+per-rollout method, so a stats engine run is no oracle for a stats batch
+run.  The reference here is ``SimulationEngine(detail="full")``:
+:meth:`~repro.sim.cache.Cache.access` plus the policy's callbacks, with its
+own timing walk.  Every rollout — native decision-column kernel, generic
+callback loop or full-detail capture — must reproduce its LLC counters and
+timing floats exactly, and full-detail rollouts every column of its access
+log.  These tests pin that contract across the policy x workload x mode x
+detail matrix, plus the wiring that runs the batch (ExperimentRunner,
+build_database, ParallelSimulator fallback) and the perf-report comparison
+tooling that rides along.
 """
 
 import dataclasses
@@ -29,7 +32,7 @@ from repro.sim.config import SMALL_CONFIG, TINY_CONFIG
 from repro.sim.engine import SimulationEngine
 from repro.sim.parallel import ParallelSimulator, SimulationJob, planned_strategy
 from repro.perf.harness import compare_reports
-from repro.tracedb.database import build_database
+from repro.tracedb.database import build_database, make_entry
 from repro.workloads.generator import generate_trace
 
 NUM_ACCESSES = 600
@@ -37,7 +40,7 @@ WORKLOADS = ("astar", "lbm")
 
 EXPERIMENT_SPEC = dict(workloads=list(WORKLOADS),
                        policies=["lru", "belady", "hawkeye"],
-                       configs=["tiny"], detail="stats",
+                       configs=["tiny"], details=["stats"],
                        num_accesses=[NUM_ACCESSES], seeds=[1])
 
 
@@ -45,14 +48,15 @@ def _trace(workload, seed=7):
     return generate_trace(workload, NUM_ACCESSES, seed)
 
 
-def _single(trace, spec):
+def _reference(trace, spec):
+    """The full-detail callback replay of ``spec``'s cell."""
     engine = SimulationEngine(config=spec.config, mode=spec.mode,
-                              detail=spec.detail,
-                              max_records=spec.max_records)
+                              detail="full", max_records=spec.max_records)
     return engine.run(trace, get_policy(spec.policy))
 
 
 def _assert_identical(batched, single):
+    """Counters and timing always; the capture too at full detail."""
     assert batched.llc_stats.as_tuple() == single.llc_stats.as_tuple()
     assert batched.timing.instructions == single.timing.instructions
     assert batched.timing.base_cycles == single.timing.base_cycles
@@ -62,14 +66,15 @@ def _assert_identical(batched, single):
             == single.timing.accesses_by_level)
     assert batched.policy_name == single.policy_name
     assert batched.policy_description == single.policy_description
-    assert batched.wrong_evictions == single.wrong_evictions
     assert set(batched.level_stats) == set(single.level_stats)
     for level in batched.level_stats:
         assert (batched.level_stats[level].as_tuple()
                 == single.level_stats[level].as_tuple())
-    assert (batched.log is None) == (single.log is None)
-    if batched.log is not None:
-        assert pickle.dumps(batched.log) == pickle.dumps(single.log)
+    if batched.detail == "stats":
+        assert batched.log is None
+        return
+    assert batched.wrong_evictions == single.wrong_evictions
+    assert pickle.dumps(batched.log) == pickle.dumps(single.log)
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +89,7 @@ def test_batch_matches_engine_for_every_policy(mode, detail):
                  for policy in available_policies()]
         results = BatchSimulator(trace).run(specs)
         for spec, batched in zip(specs, results):
-            _assert_identical(batched, _single(trace, spec))
+            _assert_identical(batched, _reference(trace, spec))
 
 
 def test_mixed_specs_in_one_batch():
@@ -100,7 +105,7 @@ def test_mixed_specs_in_one_batch():
     results = run_batch(trace, specs)
     assert len(results) == len(specs)
     for spec, batched in zip(specs, results):
-        _assert_identical(batched, _single(trace, spec))
+        _assert_identical(batched, _reference(trace, spec))
 
 
 # ----------------------------------------------------------------------
@@ -110,26 +115,29 @@ def test_rollout_strategy_native_coverage():
     for policy in NATIVE_POLICIES:
         assert (rollout_strategy(RolloutSpec(policy, TINY_CONFIG))
                 == f"native:{policy}")
-    # Everything outside the native envelope goes through the engine.
+        # Hierarchy mode runs the same kernel over the filtered stream.
+        assert (rollout_strategy(RolloutSpec(policy, TINY_CONFIG,
+                                             mode="hierarchy"))
+                == f"native:{policy}")
+    # Other policies and every full-detail rollout use the callbacks.
     assert rollout_strategy(RolloutSpec("hawkeye", TINY_CONFIG)) == "engine"
     assert (rollout_strategy(RolloutSpec("lru", TINY_CONFIG, detail="full"))
             == "engine")
-    assert (rollout_strategy(RolloutSpec("lru", TINY_CONFIG,
-                                         mode="hierarchy")) == "engine")
 
 
-def test_non_pow2_geometry_falls_back_to_engine():
+def test_non_pow2_geometry_runs_native_kernel():
     llc = TINY_CONFIG.llc
     odd_llc = dataclasses.replace(
         llc, size_bytes=3 * llc.num_ways * llc.block_bytes)
     odd_config = dataclasses.replace(TINY_CONFIG, name="tiny-odd",
                                      llc=odd_llc)
     assert odd_llc.num_sets == 3
-    spec = RolloutSpec("lru", odd_config)
-    assert rollout_strategy(spec) == "engine"
     trace = _trace("lbm")
-    batched, = BatchSimulator(trace).run([spec])
-    _assert_identical(batched, _single(trace, spec))
+    for mode in ("llc_only", "hierarchy"):
+        spec = RolloutSpec("lru", odd_config, mode=mode)
+        assert rollout_strategy(spec) == "native:lru"
+        batched, = BatchSimulator(trace).run([spec])
+        _assert_identical(batched, _reference(trace, spec))
 
 
 def test_run_records_strategies():
@@ -150,42 +158,50 @@ def test_rollout_spec_validation():
 # ----------------------------------------------------------------------
 # ExperimentRunner wiring
 # ----------------------------------------------------------------------
-def test_experiment_batch_matches_single_strategy():
-    batch = ExperimentRunner(simulation_cache=SimulationCache(),
-                             strategy="auto").run(EXPERIMENT_SPEC)
-    single = ExperimentRunner(simulation_cache=SimulationCache(),
-                              strategy="single").run(EXPERIMENT_SPEC)
-    assert batch.columns == single.columns
-    assert batch.counters["batch_groups"] == len(WORKLOADS)
-    assert batch.counters["batch_cells"] == batch.counters["simulations_run"]
-    assert single.counters["batch_cells"] == 0
+@pytest.mark.parametrize("detail", ["stats", "full"])
+def test_experiment_columns_match_per_cell_full_replay(detail):
+    """Every serial miss runs through one batch per trace (singletons
+    too), and each cell equals its own full-detail engine replay."""
+    result = ExperimentRunner(simulation_cache=SimulationCache()).run(
+        dict(EXPERIMENT_SPEC, details=[detail]))
+    assert result.counters["batch_groups"] == len(WORKLOADS)
+    assert result.counters["batch_cells"] == result.counters["simulations_run"]
+    configs = {config.name: config for config in result.spec.configs}
+    traces = SimulationCache()
+    expected = []
+    for job in result.spec.compile().cells:
+        trace, description = traces.get_trace(job.workload, job.num_accesses,
+                                              job.seed)
+        reference = SimulationEngine(config=configs[job.config_name],
+                                     mode=job.mode).run(trace, job.policy)
+        if detail == "full":
+            entry = make_entry(reference, workload_description=description)
+            expected.append(ExperimentRunner._row_from_entry(job, entry))
+        else:
+            expected.append(ExperimentRunner._row_from_result(job, reference))
+    assert result.rows() == expected
+    singleton = ExperimentRunner(simulation_cache=SimulationCache()).run(
+        dict(EXPERIMENT_SPEC, details=[detail], workloads=["astar"],
+             policies=["lru"]))
+    assert singleton.counters["batch_groups"] == 1
+    assert singleton.rows() == expected[:1]
 
 
-def test_experiment_full_detail_batch_matches_single():
-    spec = dict(EXPERIMENT_SPEC, detail="full")
-    batch = ExperimentRunner(simulation_cache=SimulationCache(),
-                             strategy="auto").run(spec)
-    single = ExperimentRunner(simulation_cache=SimulationCache(),
-                              strategy="single").run(spec)
-    assert batch.columns == single.columns
-    assert batch.counters["batch_cells"] > 0
-
-
-def test_experiment_singleton_uses_single_replay_under_auto():
-    spec = dict(EXPERIMENT_SPEC, policies=["lru"], workloads=["astar"])
-    result = ExperimentRunner(simulation_cache=SimulationCache(),
-                              strategy="auto").run(spec)
-    assert result.counters["batch_groups"] == 0
-    assert result.counters["simulations_run"] == 1
-    forced = ExperimentRunner(simulation_cache=SimulationCache(),
-                              strategy="batch").run(spec)
-    assert forced.counters["batch_groups"] == 1
-    assert forced.columns == result.columns
-
-
-def test_experiment_runner_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        ExperimentRunner(strategy="bogus")
+@pytest.mark.parametrize("detail", ["stats", "full"])
+def test_experiment_batches_share_reuse_precompute(detail):
+    """Oracle cells take their next-use arrays from the simulation cache,
+    so later batches over the same trace reuse them."""
+    cache = SimulationCache()
+    spec = dict(EXPERIMENT_SPEC, details=[detail])
+    ExperimentRunner(simulation_cache=cache).run(spec)
+    assert cache.stats()["reuse"] == len(WORKLOADS)
+    trace, _description = cache.get_trace("astar", NUM_ACCESSES, 1)
+    shared = cache.reuse_for(trace, TINY_CONFIG.llc.block_bytes,
+                             detail == "full")
+    ExperimentRunner(simulation_cache=cache).run(
+        dict(spec, configs=["small"], policies=["belady"]))
+    assert cache.stats()["reuse"] == len(WORKLOADS)
+    assert cache.reuse_for(trace, TINY_CONFIG.llc.block_bytes) is shared
 
 
 def test_warm_store_rerun_simulates_zero_cells_after_batch(tmp_path):

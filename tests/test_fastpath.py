@@ -6,14 +6,19 @@ taxonomy, per-set rates and timing for every registered policy on every
 bundled workload.
 """
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.policies.base import available_policies
 from repro.sim.cache import Cache, CacheStats
-from repro.sim.config import TINY_CONFIG
+from repro.sim.config import SMALL_CONFIG, TINY_CONFIG
+from repro.sim.cpu import LEVELS, timing_from_levels
 from repro.sim.engine import SimulationEngine
 from repro.tracedb.schema import records_to_table
 from repro.workloads.generator import available_workloads, generate_trace
+from repro.workloads.trace import FLAG_PREFETCH, FLAG_WRITE
 
 NUM_ACCESSES = 300
 
@@ -88,8 +93,6 @@ def test_stats_detail_skips_records():
 def test_invalid_detail_rejected():
     with pytest.raises(ValueError):
         SimulationEngine(config=TINY_CONFIG, detail="verbose")
-    with pytest.raises(ValueError):
-        Cache(TINY_CONFIG.llc, detail="verbose")
 
 
 def test_set_hit_rates_is_lazy_and_cached():
@@ -121,3 +124,55 @@ def test_cache_lookup_uses_tag_maps_consistently():
     cache.flush()
     assert not cache.contains(0x1000)
     assert cache.occupancy() == 0
+
+
+def _timing_loop(config, flags, instr, levels):
+    """Reference: the access-by-access accumulation of the timing model."""
+    exposed = 1.0 - config.core.overlap_factor
+    latency = {"l1": config.l1d.latency_cycles}
+    latency["l2"] = latency["l1"] + config.l2.latency_cycles
+    latency["llc"] = latency["l2"] + config.llc.latency_cycles
+    latency["dram"] = latency["llc"] + config.dram.access_latency_cycles
+    instructions, base, stall_total = 0, 0.0, 0.0
+    by_level, stalls = {}, {}
+    for flag, gap, code in zip(flags, instr, levels):
+        level = LEVELS[code]
+        by_level[level] = by_level.get(level, 0) + 1
+        if flag & FLAG_PREFETCH:
+            continue
+        instructions += gap + 1
+        base += (gap + 1) / config.core.retire_width
+        if flag & FLAG_WRITE or level == "l1":
+            continue
+        stall = float(latency[level]) * exposed
+        stall_total += stall
+        stalls[level] = stalls.get(level, 0.0) + stall
+    return (instructions, base, stall_total, sorted(by_level.items()),
+            sorted(stalls.items()))
+
+
+@pytest.mark.parametrize("huge_gap", [False, True])
+@pytest.mark.parametrize("overlap", [0.35, 0.0, 1.0])
+def test_timing_from_levels_matches_sequential_loop(overlap, huge_gap):
+    """The column fold equals the loop bit for bit: random levels and
+    flags, a retire width that does not divide evenly, zero-stall (fully
+    overlapped) levels and, optionally, a u64 gap beyond float64's exact
+    integers."""
+    rng = random.Random(7)
+    count = 3000
+    flags = [rng.choice([0, 0, 0, FLAG_WRITE, FLAG_PREFETCH,
+                         FLAG_WRITE | FLAG_PREFETCH]) for _ in range(count)]
+    instr = [rng.randrange(0, 40) for _ in range(count)]
+    if huge_gap:
+        instr[5] = 2 ** 64 - 1
+        flags[5] = 0
+    levels = bytearray(rng.randrange(len(LEVELS)) for _ in range(count))
+    for config in (TINY_CONFIG, SMALL_CONFIG):
+        config = dataclasses.replace(
+            config, core=dataclasses.replace(config.core, retire_width=3,
+                                             overlap_factor=overlap))
+        timing = timing_from_levels(config, flags, instr, levels)
+        assert (timing.instructions, timing.base_cycles, timing.stall_cycles,
+                sorted(timing.accesses_by_level.items()),
+                sorted(timing.stalls_by_level.items())) \
+            == _timing_loop(config, flags, instr, levels)

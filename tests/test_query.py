@@ -112,6 +112,16 @@ def test_count_outcome_parsed_only_for_one_named_outcome():
     assert "outcome=miss" in intent.describe()
 
 
+def test_count_set_index_parsed_for_count_questions():
+    intent = PARSER.parse("How many misses in set 3 for lru on astar?")
+    assert intent.question_type == q.COUNT
+    assert intent.set_index == 3
+    assert "set=3" in intent.describe()
+    assert PARSER.parse("How many misses for lru on astar?").set_index is None
+    assert PARSER.parse("How many misses in the offset 3 region of astar "
+                        "under lru?").set_index is None
+
+
 def test_ranger_count_filters_on_named_outcome(fresh_cache):
     from repro import CacheMind, TINY_CONFIG
     from repro.retrieval.ranger import RangerRetriever
@@ -135,3 +145,32 @@ def test_ranger_count_filters_on_named_outcome(fresh_cache):
     assert grounded_count("How many hits for lru on astar?") == stats.hits
     assert grounded_count("How many accesses does astar make under lru?") \
         == stats.accesses
+
+
+
+def test_ranger_count_filters_on_named_set(fresh_cache):
+    from repro import CacheMind, TINY_CONFIG
+    from repro.retrieval.ranger import RangerRetriever
+
+    session = CacheMind(workloads=["astar"], policies=["lru"],
+                        num_accesses=600, config=TINY_CONFIG,
+                        simulation_cache=fresh_cache)
+    ranger = RangerRetriever(session.database)
+
+    def payload(question):
+        intent = session.parser.parse(question)
+        execution = ranger.executor.execute(ranger.generate_code(intent))
+        assert execution.success, execution.error
+        return execution.payload
+
+    impossible = payload("How many misses in set 99999999 for lru on astar?")
+    assert impossible["count"] == 0
+    assert "premise_violation" in impossible
+    table = session.database.get("astar", "lru").data_frame
+    expected = sum(1 for set_id, miss in zip(table.column("cache_set_id"),
+                                             table.column("is_miss"))
+                   if set_id == 3 and miss)
+    assert expected > 0
+    in_set = payload("How many misses in set 3 for lru on astar?")
+    assert in_set["count"] == expected
+    assert "premise_violation" not in in_set
